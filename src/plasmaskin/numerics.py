@@ -11,6 +11,7 @@ global state.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ _WG = np.array([
     0.1294849661688697,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+_TINY = np.finfo(float).tiny    # tolerance floor: keeps err/tol finite
 
 
 @dataclass(frozen=True)
@@ -84,18 +86,42 @@ def _panel(f, a: float, b: float):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fv = np.asarray(f(c + h * _XGK), dtype=np.complex128)
-    ik = h * np.sum(_WGK * fv)
-    ig = h * np.sum(_WG * fv[_GAUSS_IDX])
+    if fv.ndim == 0:   # a constant integrand
+        fv = np.broadcast_to(fv, _XGK.shape)
+    ik = h * np.dot(_WGK, fv)
+    ig = h * np.dot(_WG, fv[_GAUSS_IDX])
     return ik, abs(ik - ig)
 
 
+def _fsum(values):
+    """Correctly rounded sum of per-panel values, component by component."""
+    rows = np.array(values)
+    cols = rows.reshape(len(values), -1).T
+    total = np.array([complex(math.fsum(c.real), math.fsum(c.imag))
+                      for c in cols]).reshape(rows.shape[1:])
+    return total if np.iscomplexobj(rows) else total.real
+
+
 def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                     breakpoints=()) -> complex:
+                     breakpoints=(), *, offset=0.0) -> complex | np.ndarray:
     """Adaptive integral of a complex-valued f over the finite [a, b].
 
+    ``f`` maps an array of abscissae to one value each (shape (k,)), or
+    to one row each with a column per output component (shape (k, m)); a
+    vector integrand returns an array of m integrals, all refined on one
+    shared panel set.  Each component has converged once its error bound
+    is at most max(rel_tol*|offset + integral|, abs_tol): ``offset``
+    (scalar or one value per component) is the amount the caller adds to
+    the integral, so the tolerance is relative to the quantity returned.
+    The panel with the largest error relative to its component's
+    tolerance is split next, and the budget is ``max_subdivisions`` per
+    component.
+
+    The estimate and error bound are running totals; before returning
+    they are re-summed exactly (``math.fsum``) and the test repeated.
     ``breakpoints`` seeds the initial subdivision (useful for known
     near-singular spots).  Raises :class:`QuadratureError` carrying the
-    best estimate when the budget is exhausted.
+    best estimate and its bound when the budget is exhausted.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not b > a:
         raise DomainError("need finite a < b")
@@ -106,41 +132,67 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
             pts.append(x)
     pts = sorted(set(pts))
 
-    heap = []
-    counter = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        ik, err = _panel(f, lo, hi)
-        heap.append((-err, counter, lo, hi, ik, err))
-        counter += 1
+    panels = [(lo, hi) + _panel(f, lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+    total = sum(p[2] for p in panels)
+    toterr = sum(p[3] for p in panels)
+    vector = np.ndim(total) > 0
+    floor = max(spec.abs_tol, _TINY)
+
+    def tolerance(total):
+        return np.maximum(spec.rel_tol * abs(offset + total), floor)
+
+    # A panel's key is its largest error relative to key_tol, the
+    # component tolerances; the heap is re-keyed whenever one of them
+    # drifts by more than a factor of 2.  A scalar integrand's order is
+    # by error alone.
+    key_tol = tolerance(total) if vector else 1.0
+
+    def key(err):
+        return -float(np.max(err / key_tol)) if vector else -float(err)
+
+    counter = itertools.count()
+    heap = [(key(err), next(counter), lo, hi, ik, err)
+            for lo, hi, ik, err in panels]
     heapq.heapify(heap)
 
+    budget = spec.max_subdivisions * np.size(total)
     nsplit = 0
     while True:
-        total = sum(item[4] for item in heap)
-        toterr = sum(item[5] for item in heap)
-        if toterr <= max(spec.rel_tol * abs(total), spec.abs_tol):
-            return total
-        if nsplit >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature did not converge after {nsplit} subdivisions "
-                f"(error bound {toterr:.3e})",
-                estimate=total, error_bound=toterr)
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        tol = tolerance(total)
+        if np.all(toterr <= tol) or nsplit >= budget:
+            total = _fsum([item[4] for item in heap])
+            toterr = _fsum([item[5] for item in heap])
+            if np.all(toterr <= tolerance(total)):
+                return total if vector else complex(total)
+            if nsplit >= budget:
+                raise QuadratureError(
+                    f"quadrature did not converge after {nsplit} subdivisions "
+                    f"(error bound {np.max(toterr):.3e})",
+                    estimate=total if vector else complex(total),
+                    error_bound=toterr if vector else float(toterr))
+        if vector and np.any((tol < 0.5 * key_tol) | (tol > 2.0 * key_tol)):
+            key_tol = tol
+            heap = [(key(item[5]),) + item[1:] for item in heap]
+            heapq.heapify(heap)
+        _, _, lo, hi, ik, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise QuadratureError(
                 "interval collapsed below machine resolution",
                 estimate=total, error_bound=toterr)
+        total = total - ik
+        toterr = toterr - err
         for seg in ((lo, mid), (mid, hi)):
             ik, err = _panel(f, *seg)
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], ik, err))
-            counter += 1
+            total = total + ik
+            toterr = toterr + err
+            heapq.heappush(heap, (key(err), next(counter), seg[0], seg[1], ik, err))
         nsplit += 1
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
                             transform: str = "rational", scale: float = 1.0,
-                            breakpoints=()) -> complex:
+                            breakpoints=(), offset=0.0) -> complex | np.ndarray:
     """Adaptive integral of f over [0, oo).
 
     The half line is compactified before adaptive refinement so that
@@ -152,7 +204,8 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
 
     ``scale`` recentres the rational map on the integrand's natural
     scale; ``breakpoints`` are positions on the tau axis that seed the
-    subdivision (e.g. known sharp features).
+    subdivision (e.g. known sharp features).  Vector integrands and
+    ``offset`` are passed on to :func:`integrate_finite`.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
@@ -160,7 +213,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
         def g(u):
             u = np.asarray(u)
             tau = scale * u / (1.0 - u)
-            return np.asarray(f(tau)) * (scale / (1.0 - u) ** 2)
+            return (np.asarray(f(tau)).T * (scale / (1.0 - u) ** 2)).T
 
         def to_u(tau):
             return tau / (scale + tau)
@@ -168,7 +221,8 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
         def g(u):
             u = np.asarray(u)
             tau = np.tan(0.5 * math.pi * u)
-            return np.asarray(f(tau)) * (0.5 * math.pi / np.cos(0.5 * math.pi * u) ** 2)
+            jac = 0.5 * math.pi / np.cos(0.5 * math.pi * u) ** 2
+            return (np.asarray(f(tau)).T * jac).T
 
         def to_u(tau):
             return 2.0 / math.pi * math.atan(tau)
@@ -176,7 +230,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
         raise DomainError(f"unknown transform {transform!r}")
 
     bps = [to_u(float(t)) for t in breakpoints if t > 0.0 and math.isfinite(t)]
-    return integrate_finite(g, 0.0, 1.0, spec, breakpoints=bps)
+    return integrate_finite(g, 0.0, 1.0, spec, breakpoints=bps, offset=offset)
 
 
 def integrate_principal_value(g, pole: float, a: float, b: float,

@@ -139,59 +139,66 @@ def _graded_grid(x_max: float, n: int) -> np.ndarray:
     return x_max * u * u
 
 
-def _fd_solve(p: PlasmaParams, x: np.ndarray, mu_nodes: int) -> np.ndarray:
-    """Box-scheme solve of the coupled transport/field system; returns e."""
+def _fd_system(p: PlasmaParams, x: np.ndarray, mu_nodes: int):
+    """Sparse matrix and right-hand side of the box-scheme system.
+
+    The unknowns are e at the nx depths, then h at velocity node i and
+    depth j at index nx + i*nx + j.
+    """
     nodes, wts = np.polynomial.hermite.hermgauss(mu_nodes)
     nx = x.size
     m = mu_nodes
     n_unknown = nx + m * nx
-
-    def he(i, j):
-        return nx + i * nx + j
+    he = nx + np.arange(m)[:, None] * nx + np.arange(nx)   # he[i, j]
 
     rows, cols, vals = [], [], []
-    rhs = np.zeros(n_unknown, dtype=complex)
 
     def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+        r, c, v = np.broadcast_arrays(r, c, v)
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(v.ravel())
 
     # Field equation rows (one per grid point).
-    add(0, 0, 1.0)
-    rhs[0] = 1.0                      # e(0) = 1
-    add(nx - 1, nx - 1, 1.0)          # absorbing far boundary e(x_max) = 0
-    coef = 1j * p.alpha / SQRT_PI
-    for j in range(1, nx - 1):
-        dm = x[j] - x[j - 1]
-        dp = x[j + 1] - x[j]
-        add(j, j - 1, 2.0 / (dm * (dm + dp)))
-        add(j, j, -2.0 / (dm * dp) + p.Q**2)
-        add(j, j + 1, 2.0 / (dp * (dm + dp)))
-        for i in range(m):
-            add(j, he(i, j), coef * wts[i])
+    rhs = np.zeros(n_unknown, dtype=complex)
+    add([0, nx - 1], [0, nx - 1], 1.0)   # e(0) = 1, absorbing e(x_max) = 0
+    rhs[0] = 1.0
+    j = np.arange(1, nx - 1)
+    dm = x[j] - x[j - 1]
+    dp = x[j + 1] - x[j]
+    add(j, j - 1, 2.0 / (dm * (dm + dp)))
+    add(j, j, -2.0 / (dm * dp) + p.Q**2)
+    add(j, j + 1, 2.0 / (dp * (dm + dp)))
+    add(j, he[:, j], (1j * p.alpha / SQRT_PI * wts)[:, None])
 
-    # Transport rows: box scheme on each interval plus one boundary row.
-    for i in range(m):
-        mu = nodes[i]
-        row0 = he(i, 0)
-        if mu > 0:
-            add(row0, he(i, 0), 1.0)            # mirror condition at x = 0
-            add(row0, he(m - 1 - i, 0), -1.0)
-        else:
-            add(row0, he(i, nx - 1), 1.0)       # no inflow from the far side
-        for j in range(nx - 1):
-            r = he(i, j + 1)
-            d = x[j + 1] - x[j]
-            add(r, he(i, j), -mu / d + 0.5 * p.z0)
-            add(r, he(i, j + 1), mu / d + 0.5 * p.z0)
-            add(r, j, -0.5)
-            add(r, j + 1, -0.5)
+    # Transport rows: one boundary row per node -- the mirror condition at
+    # x = 0 for mu > 0, no inflow from the far side otherwise -- and the
+    # box scheme on each interval.
+    out = nodes > 0
+    add(he[out, 0], he[out, 0], 1.0)
+    add(he[out, 0], he[::-1][out, 0], -1.0)
+    add(he[~out, 0], he[~out, nx - 1], 1.0)
+    mu_d = nodes[:, None] / np.diff(x)
+    half_z0 = 0.5 * p.z0
+    add(he[:, 1:], he[:, :-1], -mu_d + half_z0)
+    add(he[:, 1:], he[:, 1:], mu_d + half_z0)
+    add(he[:, 1:], np.arange(nx - 1), -0.5)
+    add(he[:, 1:], np.arange(1, nx), -0.5)
 
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown),
-                      dtype=complex)
-    sol = spla.spsolve(A, rhs)
-    return sol[:nx]
+    A = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_unknown, n_unknown), dtype=complex)
+    return A, rhs
+
+
+def _fd_solve(p: PlasmaParams, x: np.ndarray, mu_nodes: int) -> np.ndarray:
+    """Box-scheme solve of the coupled transport/field system; returns e.
+
+    e is copied out of the solution so that it does not keep the whole
+    solution vector alive.
+    """
+    A, rhs = _fd_system(p, x, mu_nodes)
+    return spla.spsolve(A, rhs)[:x.size].copy()
 
 
 def fd_profile(p: PlasmaParams, cfg: OracleConfig | None = None) -> FieldProfile:

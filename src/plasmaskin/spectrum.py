@@ -9,6 +9,12 @@ lam grows like (b-a)*z**2 at infinity,
     N = 2 + (winding of lam along the thin rectangle taken clockwise)
       = 2 - w_ccw.
 
+The rectangle only needs to cover the part of the cut where lam is
+evaluated with a jump: beyond FAR_FIELD_RADIUS the moment series is
+used, which is analytic across the axis (the true jump there is below
+exp(-225)), so the strip ends just past that radius and zeros hugging
+the far axis are counted and located like any other.
+
 Individual zeros are then isolated by recursive rectangle subdivision
 of the upper half plane (counts from counterclockwise windings) and
 polished by Newton iteration with the closed-form derivative; the lower
@@ -43,14 +49,13 @@ from .errors import (
     PlasmaSkinError,
 )
 from .numerics import PathSegment, winding_number
+from .specfun import FAR_FIELD_RADIUS
 
 EPS_CONTOUR = 1e-3          # distance of the counting contour from the cut
 BOUNDARY_FLOOR = 1e-8       # |lam| floor on the contour before declaring
                             # spectral-boundary proximity
 SIMPLE_ZERO_FLOOR = 1e-10   # |lam'| floor below which a zero is treated as
                             # (near-)double, i.e. boundary proximity
-_FARSIDE_REL = 1e-6         # asymptotic dominance required on the far sides
-_MAX_L = 1e10
 
 
 class Region(enum.Enum):
@@ -98,18 +103,9 @@ def strip_winding(f, L: float, eps: float, *, min_modulus: float = 0.0) -> int:
     return winding_number(f, _strip_path(L, eps), min_modulus=min_modulus)
 
 
-def _choose_strip_length(p: PlasmaParams, eps: float) -> float:
-    c2 = p.b - p.a
-    L = 16.0
-    while L < _MAX_L:
-        probes = np.array([complex(s * L, y) for s in (-1.0, 1.0)
-                           for y in (-eps, 0.0, eps)])
-        ref = c2 * probes * probes
-        rel = np.abs(lam_many(probes, p) - ref) / np.abs(ref)
-        if np.all(rel < _FARSIDE_REL):
-            return L
-        L *= 4.0
-    raise PlasmaSkinError("could not find an asymptotically dominated contour size")
+def _strip_half_length(contour_scale: float) -> float:
+    """Half length of the counting strip: just past the far-field radius."""
+    return (FAR_FIELD_RADIUS + 1.0) * max(1.0, contour_scale)
 
 
 def count_zeros(p: PlasmaParams, *, contour_scale: float = 1.0) -> int:
@@ -124,7 +120,7 @@ def count_zeros(p: PlasmaParams, *, contour_scale: float = 1.0) -> int:
     if not (contour_scale > 0.0 and math.isfinite(contour_scale)):
         raise DomainError("contour_scale must be positive and finite")
     eps = EPS_CONTOUR * contour_scale
-    L = _choose_strip_length(p, eps) * contour_scale
+    L = _strip_half_length(contour_scale)
 
     def f(z):
         return lam_many(z, p)
@@ -227,24 +223,34 @@ def find_zeros(p: PlasmaParams, n: int, *, contour_scale: float = 1.0,
 
     ``n`` must come from :func:`count_zeros`.  The upper half plane is
     searched by winding-guided rectangle subdivision with Newton
-    polishing; the lower zeros are the mirrors.  For each +-eta pair
-    the member with Re(z0/eta) > 0 is stored, sorted by |eta|.
+    polishing; the lower zeros are the mirrors.  The search region is
+    everything above the counting strip: the rectangle Im z > eps plus,
+    when that holds too few zeros, the thin bands 0 < Im z <= eps beyond
+    the strip's ends.  For each +-eta pair the member with Re(z0/eta) > 0
+    is stored, sorted by |eta|.
     """
     if n not in (2, 4):
         raise DomainError(f"zero count must be 2 or 4, got {n}")
     half = n // 2
     eps = EPS_CONTOUR * contour_scale
     R = max(10.0, 2.0 * zero_scale_estimate(p)) * search_scale
+    X = _strip_half_length(contour_scale)
 
     uppers = None
     for _ in range(5):
+        rects = [(-R, R, eps, R)]
         try:
-            m = _rect_winding(p, -R, R, eps, R, samples=48)
+            counts = [_rect_winding(p, *rects[0], samples=48)]
+            if counts[0] < half and R > X:
+                # The rest hug the axis beyond the counting strip's ends.
+                rects += [(X, R, 0.0, eps), (-R, -X, 0.0, eps)]
+                counts += [_rect_winding(p, *r, samples=48) for r in rects[1:]]
         except ContourZeroError:
             R *= 1.37
             continue
-        if m == half:
-            uppers = _subdivide(p, (-R, R, eps, R), m)
+        if sum(counts) == half:
+            uppers = [z for r, m in zip(rects, counts)
+                      for z in _subdivide(p, r, m)]
             break
         R *= 2.5
     if uppers is None or len(uppers) != half:

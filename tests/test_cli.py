@@ -126,6 +126,16 @@ class TestProfile:
         assert code == 0
         assert out.read_text().startswith("x,re_e,im_e,abs_e")
 
+    @pytest.mark.parametrize("gamma", ["1.0", "2.0"])
+    def test_small_epsilon_via_main(self, tmp_path, gamma):
+        out = tmp_path / "prof.csv"
+        code = main(["profile", "--gamma", gamma, "--epsilon", "1e-4",
+                     "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 200
+        assert abs(float(rows[0]["abs_e"]) - 1.0) < 1e-6
+
 
 class TestSelfcheck:
     def test_single_point_report(self):

@@ -75,9 +75,94 @@ class TestFinite:
         val = integrate_finite(f, 0.0, 1.0, TIGHT, breakpoints=(0.3,))
         assert val == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, abs=1e-13)
 
+    def test_constant_integrand(self):
+        assert integrate_finite(lambda x: 2.0, 0.0, 3.0) == pytest.approx(6.0)
+
     def test_rejects_bad_interval(self):
         with pytest.raises(DomainError):
             integrate_finite(lambda x: x, 1.0, 1.0)
+
+
+def _three(x):
+    """Vector integrand: one column per component."""
+    x = np.asarray(x)
+    return np.stack([np.exp(-x), 1.0 / (1.0 + x * x),
+                     np.exp(-x) * np.cos(3.0 * x)], axis=-1)
+
+
+class TestVectorIntegrand:
+    def test_components_equal_scalar_integrals(self):
+        vec = integrate_semi_infinite(_three, TIGHT)
+        assert vec.shape == (3,)
+        for k in range(3):
+            scalar = integrate_semi_infinite(lambda t: _three(t)[:, k], TIGHT)
+            assert abs(vec[k] - scalar) <= 1e-12 * abs(scalar)
+        assert vec == pytest.approx([1.0, math.pi / 2.0, 0.1], abs=1e-12)
+
+    def test_finite_components_equal_scalar_integrals(self):
+        vec = integrate_finite(_three, 0.0, 5.0, TIGHT, breakpoints=(1.0,))
+        for k in range(3):
+            scalar = integrate_finite(lambda t: _three(t)[:, k], 0.0, 5.0,
+                                      TIGHT, breakpoints=(1.0,))
+            assert abs(vec[k] - scalar) <= 1e-12 * abs(scalar)
+
+    def test_small_component_is_not_starved(self):
+        # The second component is 1e-12 of the first.  Splitting by
+        # absolute error would keep refining the first one's peak at
+        # x = 0 long after it converged, and exhaust the budget.
+        def f(x):
+            x = np.asarray(x)
+            return np.stack([1.0 / (x + 1e-3), 1e-12 * np.sin(40.0 * x)],
+                            axis=-1)
+
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=100)
+        vec = integrate_finite(f, 0.0, 1.0, spec)
+        exact = [math.log(1001.0), 1e-12 * (1.0 - math.cos(40.0)) / 40.0]
+        for got, want in zip(vec, exact):
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_repeated_calls_bit_identical(self):
+        a = integrate_semi_infinite(_three)
+        b = integrate_semi_infinite(_three)
+        assert np.array_equal(a, b)
+        offset = np.array([1.0, -2.0, 0.5j])
+        c = integrate_finite(_three, 0.0, 3.0, offset=offset)
+        d = integrate_finite(_three, 0.0, 3.0, offset=offset)
+        assert np.array_equal(c, d)
+
+    def test_budget_error_carries_estimate_and_bound(self):
+        starving = QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=2)
+        with pytest.raises(QuadratureError) as err:
+            integrate_semi_infinite(_three, starving)
+        est, bound = err.value.estimate, err.value.error_bound
+        assert est.shape == bound.shape == (3,)
+        assert est == pytest.approx([1.0, math.pi / 2.0, 0.1], abs=1e-2)
+        assert np.all(bound > 0.0)
+
+
+class TestOutputRelativeTolerance:
+    # A wiggle 1e-12 the size of the quantity it is added to.
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=50)
+
+    @staticmethod
+    def wiggle(x):
+        return 1e-12 * np.sin(2000.0 * np.asarray(x))
+
+    def test_without_offset_the_budget_runs_out(self):
+        with pytest.raises(QuadratureError):
+            integrate_finite(self.wiggle, 0.0, 1.0, self.spec)
+
+    def test_offset_sets_the_scale(self):
+        val = integrate_finite(self.wiggle, 0.0, 1.0, self.spec, offset=1.0)
+        exact = 1e-12 * (1.0 - math.cos(2000.0)) / 2000.0
+        assert abs(val - exact) <= 1e-9
+
+    def test_per_component_offset(self):
+        def f(x):
+            return np.stack([self.wiggle(x), np.exp(-np.asarray(x))], axis=-1)
+
+        val = integrate_finite(f, 0.0, 1.0, self.spec, offset=np.array([1.0, 0.0]))
+        assert val[1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
 
 
 class TestPrincipalValue:

@@ -13,7 +13,14 @@ from plasmaskin import (
     impedance,
     make_params,
 )
-from plasmaskin.oracle import default_config, field_wavenumber, response_kernel
+from plasmaskin.oracle import (
+    _fd_system,
+    _graded_grid,
+    default_config,
+    field_wavenumber,
+    response_kernel,
+)
+from plasmaskin.specfun import SQRT_PI
 from plasmaskin.solution import e_prime_at_surface
 
 
@@ -74,6 +81,22 @@ class TestFdProfile:
         exact = e_prime_at_surface(base_coeffs, base_params)
         assert abs(fd - exact) <= 1e-3 * abs(exact)
 
+    def test_e_values_own_their_data(self, base_params):
+        # A view into the solve's solution vector would keep the whole
+        # vector (all the h unknowns) alive inside the profile.
+        e = fd_profile(base_params).e_values
+        assert e.base is None and e.flags.owndata
+
+    @pytest.mark.parametrize("point", [(1e-3, 1e-3, 1e-3), (1.2, 1e-3, 0.3)])
+    def test_assembly_matches_loop_reference(self, point):
+        p = make_params(*point)
+        x = _graded_grid(60.0, 40)
+        A, rhs = _fd_system(p, x, 9)
+        A_ref, rhs_ref = _fd_system_loop(p, x, 9)
+        assert A.shape == A_ref.shape
+        assert (A != A_ref).nnz == 0
+        assert np.array_equal(rhs, rhs_ref)
+
     def test_grid_doubling_convergence(self):
         p = make_params(0.1, 1e-3, 1e-3)
         coarse = OracleConfig(k_max=100.0, mu_nodes=16, n_x=120)
@@ -101,3 +124,55 @@ def test_config_validation():
         OracleConfig(k_max=-1.0)
     with pytest.raises(Exception):
         OracleConfig(k_max=10.0, n_x=4)
+
+
+def _fd_system_loop(p, x, mu_nodes):
+    """Entry-by-entry assembly of the box-scheme system (reference)."""
+    import scipy.sparse as sp
+
+    nodes, wts = np.polynomial.hermite.hermgauss(mu_nodes)
+    nx = x.size
+    m = mu_nodes
+    n_unknown = nx + m * nx
+
+    def he(i, j):
+        return nx + i * nx + j
+
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n_unknown, dtype=complex)
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    add(0, 0, 1.0)
+    rhs[0] = 1.0
+    add(nx - 1, nx - 1, 1.0)
+    coef = 1j * p.alpha / SQRT_PI
+    for j in range(1, nx - 1):
+        dm = x[j] - x[j - 1]
+        dp = x[j + 1] - x[j]
+        add(j, j - 1, 2.0 / (dm * (dm + dp)))
+        add(j, j, -2.0 / (dm * dp) + p.Q**2)
+        add(j, j + 1, 2.0 / (dp * (dm + dp)))
+        for i in range(m):
+            add(j, he(i, j), coef * wts[i])
+    for i in range(m):
+        mu = nodes[i]
+        row0 = he(i, 0)
+        if mu > 0:
+            add(row0, he(i, 0), 1.0)
+            add(row0, he(m - 1 - i, 0), -1.0)
+        else:
+            add(row0, he(i, nx - 1), 1.0)
+        for j in range(nx - 1):
+            r = he(i, j + 1)
+            d = x[j + 1] - x[j]
+            add(r, he(i, j), -mu / d + 0.5 * p.z0)
+            add(r, he(i, j + 1), mu / d + 0.5 * p.z0)
+            add(r, j, -0.5)
+            add(r, j + 1, -0.5)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown),
+                      dtype=complex)
+    return A, rhs

@@ -23,6 +23,7 @@ from plasmaskin import (
 from plasmaskin.dispersion import lam_imag_axis
 from plasmaskin.numerics import QuadratureSpec, integrate_semi_infinite
 from plasmaskin.solution import (
+    _continuum_weight,
     e_prime_at_surface,
     residual_coefficient_constant,
     residual_field_normalization,
@@ -179,6 +180,39 @@ class TestFieldE:
     def test_rejects_negative_depth(self, base_params, base_coeffs):
         with pytest.raises(DomainError):
             field_e(np.array([-1.0]), base_coeffs, base_params)
+
+    @pytest.mark.parametrize("point", [(0.5, 1e-3, 0.3), (1.0, 0.1, 0.5)])
+    def test_shared_panels_match_per_depth_integrals(self, point):
+        # Reference: one scalar adaptive integral per depth, converged
+        # against the continuum alone (the stricter test).  Compared in
+        # units of e/(a*z0/sqrt(pi)), the quantity abs_tol applies to.
+        p = make_params(*point)
+        coeffs = compute_coefficients(p)
+        xs = np.array([0.0, 1e-3, 1e-2, 0.1, 0.5, 2.0, 8.0])
+        pref = p.a * p.z0 / SQRT_PI
+        shared = field_e(xs, coeffs, p).e_values / pref
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16)
+        for x, got in zip(xs, shared):
+            disc = sum(bk * cmath.exp(-p.z0 * x / eta) for bk, eta in
+                       zip(coeffs.discrete_weights, coeffs.spectrum.zeros))
+
+            def integrand(eta, x=x):
+                return _continuum_weight(eta, coeffs, p) * np.exp(-p.z0 * x / eta)
+
+            bps = [(0.5 * x) ** (1.0 / 3.0)] if x > 0 else []
+            ref = disc + integrate_semi_infinite(integrand, spec, scale=2.0,
+                                                 breakpoints=bps)
+            assert abs(got - ref) <= 2e-9 * abs(ref) + 2e-16
+
+    def test_error_control_relative_to_e_at_small_epsilon(self):
+        # The continuum is a tiny part of e(x) here; converging it
+        # against itself used to exhaust the budget at every x > 0.
+        for gamma in (1.0, 2.0):
+            p = make_params(gamma, 1e-4, 1e-3)
+            coeffs = compute_coefficients(p)
+            prof = field_e(np.array([0.0, 1.0, 5.0, 20.0]), coeffs, p)
+            assert abs(prof.e_values[0] - 1.0) < 1e-6
+            assert np.all(np.isfinite(prof.e_values))
 
 
 class TestFieldH:

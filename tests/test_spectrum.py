@@ -4,8 +4,11 @@ import pytest
 
 from plasmaskin import (
     DomainError,
+    compute_J,
     count_zeros,
     find_zeros,
+    fourier_impedance,
+    impedance,
     lam,
     lam_prime,
     make_params,
@@ -117,6 +120,25 @@ class TestBoundaryProximity:
         p = make_params(1.3, 1e-3, 0.4)
         with pytest.raises(BoundaryProximityError):
             count_zeros(p)
+
+
+class TestFarFieldZeroNearAxis:
+    """Beyond the far-field radius lam has no numerical jump across the
+    axis, so a zero within the strip offset of it is still a zero to
+    count and locate (eta ~ 1732 -+ 3e-4i here)."""
+
+    @pytest.mark.parametrize("gamma", [1.2246, 1.2247, 1.2248])
+    def test_counted_located_and_oracle_checked(self, gamma):
+        p = make_params(gamma, 1e-3, 1e-3)
+        n = count_zeros(p)
+        assert n == 2
+        info = find_zeros(p, n)
+        eta = info.zeros[0]
+        assert abs(eta) > 1e3 and abs(eta.imag) < 2e-3
+        assert abs(lam(eta, p)) < 1e-12
+        z = impedance(p, J=compute_J(p)).Z
+        zf = fourier_impedance(p)
+        assert abs(z - zf) <= 1e-6 * abs(zf)
 
 
 class TestDeepZeroRegime:
