@@ -8,13 +8,14 @@ selfcheck  identity suite + oracle agreement on a parameter panel -> JSON
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 Rows of a sweep never abort the run: points that fail carry a status tag
-and empty numeric fields.
+and empty numeric fields, and in JSON output the cause in ``detail``.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import json
@@ -73,6 +74,7 @@ class SweepRow:
     eta0_re: float | None = None
     eta0_im: float | None = None
     status: str = "ok"
+    detail: str | None = None   # cause of a failed row; JSON output only
 
 
 def _principal_arg(z: complex) -> float:
@@ -91,10 +93,11 @@ def _sweep_point(task) -> SweepRow:
                         abs_Z0=math.hypot(z0.real, z0.imag),
                         arg_Z0=_principal_arg(z0), n_zeros=info.n_zeros,
                         eta0_re=eta0.real, eta0_im=eta0.imag, status="ok")
-    except BoundaryProximityError:
-        return SweepRow(gamma=gamma, status="near_boundary")
-    except Exception:
-        return SweepRow(gamma=gamma, status="error")
+    except BoundaryProximityError as exc:
+        return SweepRow(gamma=gamma, status="near_boundary", detail=str(exc))
+    except Exception as exc:  # keep the sweep going; record the failure
+        return SweepRow(gamma=gamma, status="error",
+                        detail=f"{type(exc).__name__}: {exc}")
 
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
@@ -220,10 +223,14 @@ def _load_panel(path: str):
             for d in data]
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The --out stream: stdout for None or "-", else the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def main(argv=None) -> int:
@@ -265,25 +272,17 @@ def main(argv=None) -> int:
                              scale=args.scale, epsilon=args.epsilon,
                              v_c=args.vc)
             rows = run_sweep(spec, max_workers=args.workers)
-            stream, close = _open_out(args.out)
-            try:
+            with _output(args.out) as stream:
                 if args.format == "csv":
                     write_rows_csv(rows, stream)
                 else:
                     write_rows_json(rows, stream)
-            finally:
-                if close:
-                    stream.close()
             return 0
 
         if args.command == "profile":
             p = make_params(args.gamma, args.epsilon, args.vc)
-            stream, close = _open_out(args.out)
-            try:
+            with _output(args.out) as stream:
                 dump_profile(p, args.xmax, args.points, stream)
-            finally:
-                if close:
-                    stream.close()
             return 0
 
         if args.command == "selfcheck":
@@ -295,13 +294,9 @@ def main(argv=None) -> int:
                 print("error: empty parameter panel", file=sys.stderr)
                 return 2
             report = run_selfcheck(points)
-            stream, close = _open_out(args.out)
-            try:
+            with _output(args.out) as stream:
                 json.dump(report, stream, indent=1)
                 stream.write("\n")
-            finally:
-                if close:
-                    stream.close()
             return 0 if report["all_pass"] else 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

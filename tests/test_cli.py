@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from plasmaskin import cli
 from plasmaskin.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -15,8 +16,9 @@ from plasmaskin.cli import (
     run_selfcheck,
     run_sweep,
     write_rows_csv,
+    write_rows_json,
 )
-from plasmaskin.errors import DomainError
+from plasmaskin.errors import BoundaryProximityError, DomainError
 
 
 class TestSweep:
@@ -61,6 +63,60 @@ class TestSweep:
             SweepSpec(gamma_start=0.5, gamma_end=0.4, n_points=10)
         with pytest.raises(DomainError):
             SweepSpec(gamma_start=0.1, gamma_end=0.4, n_points=1)
+
+
+class TestFailedRowDetail:
+    @pytest.fixture()
+    def rows(self, monkeypatch):
+        def analyze(p):
+            if p.gamma < 0.45:
+                raise RuntimeError("spectrum step failed")
+            if p.gamma > 0.55:
+                raise BoundaryProximityError("zero within 1e-9 of the cut")
+            return real_analyze(p)
+
+        real_analyze = cli._spectrum.analyze
+        monkeypatch.setattr(cli._spectrum, "analyze", analyze)
+        spec = SweepSpec(gamma_start=0.4, gamma_end=0.6, n_points=3)
+        return run_sweep(spec, max_workers=1)
+
+    def test_row_keeps_its_cause(self, rows):
+        assert [r.status for r in rows] == ["error", "ok", "near_boundary"]
+        assert [r.detail for r in rows] == [
+            "RuntimeError: spectrum step failed", None,
+            "zero within 1e-9 of the cut"]
+
+    def test_detail_in_json_only(self, rows):
+        buf = io.StringIO()
+        write_rows_json(rows, buf)
+        assert [d["detail"] for d in json.loads(buf.getvalue())] == [
+            r.detail for r in rows]
+        buf = io.StringIO()
+        write_rows_csv(rows, buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1] == "0.40000000000000002,,,,,,,,error"
+        assert lines[3] == "0.59999999999999998,,,,,,,,near_boundary"
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--gamma-start", "0.7", "--gamma-end", "0.8", "--points", "2",
+     "--workers", "1"],
+    ["profile", "--gamma", "0.5", "--xmax", "10", "--points", "5"],
+    ["selfcheck", "--panel", "PANEL"],
+])
+def test_out_file_matches_stdout(tmp_path, capsys, args):
+    panel = tmp_path / "panel.json"
+    panel.write_text(json.dumps([{"gamma": 1e-3, "epsilon": 1e-3, "v_c": 1e-3}]))
+    args = [str(panel) if a == "PANEL" else a for a in args]
+    assert main(args) == 0
+    to_stdout = capsys.readouterr().out
+    assert main(args + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == to_stdout
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == to_stdout.encode()
 
 
 class TestCsvRoundTrip:

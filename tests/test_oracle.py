@@ -14,6 +14,8 @@ from plasmaskin import (
     make_params,
 )
 from plasmaskin.oracle import (
+    _fd_solve,
+    _fd_sparse_solve,
     _fd_system,
     _graded_grid,
     default_config,
@@ -104,6 +106,42 @@ class TestFdProfile:
         e1 = fd_profile(p, coarse).error_estimate
         e2 = fd_profile(p, fine).error_estimate
         assert e1 / e2 >= 3.0
+
+
+class TestStructuredFdSolve:
+    """The exact elimination in ``_fd_solve`` against a sparse LU of the
+    literal box-scheme system, on both Richardson grids."""
+
+    @staticmethod
+    def _check(point, x_max, n_x, mu_nodes):
+        p = make_params(*point)
+        rule = np.polynomial.hermite.hermgauss(mu_nodes)
+        for x in (_graded_grid(x_max, n_x), _graded_grid(x_max, 2 * n_x - 1)):
+            e = _fd_solve(p, x, *rule)
+            assert np.all(np.isfinite(e))
+            assert float(np.max(np.abs(e - _fd_sparse_solve(p, x, mu_nodes)))) <= 1e-9
+            assert e[0] == 1.0 and e[-1] == 0.0
+
+    @pytest.mark.parametrize("point", [
+        (0.01, 1e-3, 1e-3), (0.5, 1e-3, 1e-3), (1.3, 1e-3, 1e-3),
+        (2.0, 1e-3, 1e-3), (0.01, 0.1, 0.01), (1.0, 1e-4, 0.3)])
+    def test_matches_sparse_reference(self, point):
+        self._check(point, 60.0, 240, 32)
+
+    @pytest.mark.parametrize("mu_nodes", [9, 33])
+    def test_odd_node_count_with_mu_zero(self, mu_nodes):
+        self._check((0.5, 1e-3, 1e-3), 60.0, 240, mu_nodes)
+
+    def test_decay_beyond_double_range(self):
+        # The decay exponent reaches ~1464 here: unscaled separable
+        # factors would overflow.
+        self._check((0.01, 0.1, 0.01), 240.0, 960, 32)
+
+    def test_bit_identical_repeats(self):
+        p = make_params(1.3, 1e-3, 1e-3)
+        a, b = fd_profile(p), fd_profile(p)
+        assert np.array_equal(a.e_values, b.e_values)
+        assert a.error_estimate == b.error_estimate
 
 
 def test_both_oracles_agree_on_surface_slope(base_params):
