@@ -47,6 +47,7 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _TINY = np.finfo(float).tiny    # tolerance floor: keeps err/tol finite
+_MAX_PASSES = 48                # winding refinement passes before giving up
 
 
 @dataclass(frozen=True)
@@ -191,45 +192,26 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
-                            transform: str = "rational", scale: float = 1.0,
-                            breakpoints=(), offset=0.0) -> complex | np.ndarray:
+                            scale: float = 1.0, breakpoints=(),
+                            offset=0.0) -> complex | np.ndarray:
     """Adaptive integral of f over [0, oo).
 
-    The half line is compactified before adaptive refinement so that
-    algebraically decaying tails (the typical 1/tau**2 case here) are
-    integrated accurately:
-
-    * ``rational``: tau = scale*u/(1-u), u in [0, 1)
-    * ``tangent``:  tau = tan(pi*u/2),   u in [0, 1)
-
-    ``scale`` recentres the rational map on the integrand's natural
-    scale; ``breakpoints`` are positions on the tau axis that seed the
+    The half line is mapped by tau = scale*u/(1-u) to u in [0, 1), so
+    that algebraically decaying tails (typically 1/tau**2 here) are
+    integrated accurately; ``scale`` recentres the map on the integrand's
+    natural scale.  ``breakpoints`` are tau positions that seed the
     subdivision (e.g. known sharp features).  Vector integrands and
     ``offset`` are passed on to :func:`integrate_finite`.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
-    if transform == "rational":
-        def g(u):
-            u = np.asarray(u)
-            tau = scale * u / (1.0 - u)
-            return (np.asarray(f(tau)).T * (scale / (1.0 - u) ** 2)).T
 
-        def to_u(tau):
-            return tau / (scale + tau)
-    elif transform == "tangent":
-        def g(u):
-            u = np.asarray(u)
-            tau = np.tan(0.5 * math.pi * u)
-            jac = 0.5 * math.pi / np.cos(0.5 * math.pi * u) ** 2
-            return (np.asarray(f(tau)).T * jac).T
+    def g(u):
+        u = np.asarray(u)
+        tau = scale * u / (1.0 - u)
+        return (np.asarray(f(tau)).T * (scale / (1.0 - u) ** 2)).T
 
-        def to_u(tau):
-            return 2.0 / math.pi * math.atan(tau)
-    else:
-        raise DomainError(f"unknown transform {transform!r}")
-
-    bps = [to_u(float(t)) for t in breakpoints if t > 0.0 and math.isfinite(t)]
+    bps = [t / (scale + t) for t in map(float, breakpoints) if 0 < t < math.inf]
     return integrate_finite(g, 0.0, 1.0, spec, breakpoints=bps, offset=offset)
 
 
@@ -300,38 +282,33 @@ def _closed_vertices(path):
     return segs
 
 
-def winding_number(f, path, *, min_modulus: float = 0.0,
-                   max_passes: int = 48) -> int:
+def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
     """Winding number of f along a closed polyline of PathSegments.
 
     The phase is tracked by nearest-branch continuation; sampling is
     refined (midpoint insertion) until every consecutive phase step is
-    below pi/2.  Raises :class:`ContourZeroError` if |f| falls to
-    ``min_modulus`` or below anywhere on the path, and
-    :class:`WindingError` if refinement stalls.
+    below pi/2.  f is called once on all initial samples, then once per
+    refinement pass on all new midpoints.  Raises :class:`ContourZeroError`
+    at the first point in path order where |f| falls to ``min_modulus``
+    or below, and :class:`WindingError` if refinement stalls.
     """
     segs = _closed_vertices(path)
+    starts = np.array([s.start for s in segs], dtype=complex)
+    spans = np.array([s.end - s.start for s in segs], dtype=complex)
 
-    # Per edge: parameters in [0, 1) (the endpoint belongs to the next edge).
-    ts = []
-    for seg in segs:
-        ts.append([i / seg.samples for i in range(seg.samples)])
-
-    def points_of(edge_idx, tlist):
-        seg = segs[edge_idx]
-        return [seg.start + t * (seg.end - seg.start) for t in tlist]
-
-    fvals = []
-    for ei in range(len(segs)):
-        pts = np.array(points_of(ei, ts[ei]), dtype=complex)
+    def evaluate(edge, t):
+        pts = starts[edge] + t * spans[edge]
         vals = np.asarray(f(pts), dtype=np.complex128)
         _check_floor(vals, pts, min_modulus)
-        fvals.append(list(vals))
+        return vals
 
-    for _ in range(max_passes):
-        flat_vals = np.array([v for edge in fvals for v in edge], dtype=complex)
-        phases = np.angle(flat_vals)
-        steps = np.diff(np.concatenate([phases, phases[:1]]))
+    # t = 1 of an edge is the next edge's first sample.
+    edge = np.repeat(np.arange(len(segs)), [s.samples for s in segs])
+    t = np.concatenate([np.arange(s.samples) / s.samples for s in segs])
+    vals = evaluate(edge, t)
+
+    for _ in range(_MAX_PASSES):
+        steps = np.diff(np.angle(np.append(vals, vals[:1])))
         steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
         bad = np.nonzero(np.abs(steps) >= 0.5 * math.pi)[0]
         if bad.size == 0:
@@ -342,31 +319,19 @@ def winding_number(f, path, *, min_modulus: float = 0.0,
                     f"phase sum {w!r} is not an integer multiple of 2*pi")
             return int(k)
 
-        # Map flat indices back to (edge, slot) and insert midpoints.
-        edge_of = []
-        slot_of = []
-        for ei, edge in enumerate(fvals):
-            edge_of.extend([ei] * len(edge))
-            slot_of.extend(range(len(edge)))
-        new_by_edge = {}
-        for idx in bad:
-            ei, si = edge_of[idx], slot_of[idx]
-            tlist = ts[ei]
-            t_hi = tlist[si + 1] if si + 1 < len(tlist) else 1.0
-            t_new = 0.5 * (tlist[si] + t_hi)
-            if t_new <= tlist[si] or t_new >= t_hi:
-                raise WindingError("refinement collapsed below resolution")
-            new_by_edge.setdefault(ei, []).append((si, t_new))
-        for ei, inserts in new_by_edge.items():
-            pts = np.array(points_of(ei, [t for _, t in inserts]), dtype=complex)
-            vals = np.asarray(f(pts), dtype=np.complex128)
-            _check_floor(vals, pts, min_modulus)
-            for (si, t_new), val in sorted(
-                    zip(inserts, vals), key=lambda p: -p[0][0]):
-                ts[ei].insert(si + 1, t_new)
-                fvals[ei].insert(si + 1, val)
+        # A step ends at the next sample of its own edge, else at t = 1.
+        t_end = np.append(t[1:], 1.0)
+        t_end[np.append(edge[1:] != edge[:-1], True)] = 1.0
+        lo, hi = t[bad], t_end[bad]
+        mid = 0.5 * (lo + hi)
+        if np.any((mid <= lo) | (mid >= hi)):
+            raise WindingError("refinement collapsed below resolution")
+        new_vals = evaluate(edge[bad], mid)
+        edge = np.insert(edge, bad + 1, edge[bad])
+        t = np.insert(t, bad + 1, mid)
+        vals = np.insert(vals, bad + 1, new_vals)
 
-    raise WindingError(f"phase not resolved after {max_passes} refinement passes")
+    raise WindingError(f"phase not resolved after {_MAX_PASSES} refinement passes")
 
 
 def _check_floor(vals, pts, min_modulus):

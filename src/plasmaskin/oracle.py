@@ -47,6 +47,7 @@ from .solution import FieldProfile
 from .specfun import SQRT_PI, gauss_hilbert_array
 
 _TAIL_REL = 1e-10
+_N_K = 256    # log-spaced wavenumbers scanned for |D| minima
 # Largest exponent a separable factor of the FD kernel may carry, and the
 # rows per kernel product (bounds its temporaries).
 _SCALE_EXP = 300.0
@@ -58,7 +59,6 @@ class OracleConfig:
     """Resolution knobs for the direct solvers."""
 
     k_max: float
-    n_k: int = 256
     mu_nodes: int = 32
     x_max: float = 60.0
     n_x: int = 240
@@ -66,8 +66,8 @@ class OracleConfig:
     def __post_init__(self):
         if not (self.k_max > 0 and self.x_max > 0):
             raise DomainError("k_max and x_max must be positive")
-        if min(self.n_k, self.mu_nodes, self.n_x) < 8:
-            raise DomainError("n_k, mu_nodes and n_x must all be >= 8")
+        if min(self.mu_nodes, self.n_x) < 8:
+            raise DomainError("mu_nodes and n_x must both be >= 8")
 
 
 def field_wavenumber(p: PlasmaParams) -> float:
@@ -113,7 +113,7 @@ def fourier_impedance(p: PlasmaParams, cfg: OracleConfig | None = None, *,
     # Seed the subdivision at the field scale and at |D| minima (spikes
     # from dispersion zeros close to the integration axis).
     kf = field_wavenumber(p)
-    ks = np.geomspace(max(kf, 1e-8) * 1e-3, kmax, cfg.n_k)
+    ks = np.geomspace(max(kf, 1e-8) * 1e-3, kmax, _N_K)
     mods = np.abs(_denominator(ks, p))
     bps = [kf]
     for i in range(1, len(ks) - 1):

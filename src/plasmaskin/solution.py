@@ -107,7 +107,6 @@ class FieldProfile:
 
     x_grid: np.ndarray
     e_values: np.ndarray
-    h_samples: dict | None = None
     error_estimate: float | None = None
 
 

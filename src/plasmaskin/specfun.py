@@ -92,17 +92,13 @@ def gauss_hilbert(z: complex) -> complex:
     analytic off the axis; for real ``z`` the principal value.
     """
     z = _require_finite(z)
-    if z.imag > 0.0:
-        return 1j * SQRT_PI * complex(_sp.wofz(z))
-    if z.imag < 0.0:
-        return -1j * SQRT_PI * complex(_sp.wofz(-z))
-    if z.real == 0.0:
-        return 0j
-    return complex(-2.0 * float(_sp.dawsn(z.real)), 0.0)
+    if z == 0.0:
+        return 0j    # the array kernel gives -0.0 here
+    return complex(gauss_hilbert_array(np.array([z]))[0])
 
 
 def gauss_hilbert_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`gauss_hilbert` for ndarray input (no validation)."""
+    """Gaussian Hilbert transform, elementwise on an ndarray (no validation)."""
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty(z.shape, dtype=np.complex128)
     up = z.imag > 0.0

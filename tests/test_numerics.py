@@ -16,11 +16,9 @@ from plasmaskin import (
     integrate_finite,
     integrate_principal_value,
     integrate_semi_infinite,
-    make_params,
     newton_refine,
     winding_number,
 )
-from plasmaskin.dispersion import lam_imag_axis
 from plasmaskin.numerics import rectangle_path
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4000)
@@ -39,17 +37,6 @@ class TestSemiInfinite:
     def test_lorentzian(self):
         val = integrate_semi_infinite(lambda t: 1.0 / (1.0 + t * t), TIGHT)
         assert val == pytest.approx(math.pi / 2.0, abs=1e-12)
-
-    def test_two_transforms_agree_on_dispersion_integrand(self):
-        p = make_params(1e-3, 1e-3, 1e-3)
-
-        def f(t):
-            return 1.0 / lam_imag_axis(t, p)
-
-        a = integrate_semi_infinite(f, transform="rational")
-        b = integrate_semi_infinite(f, transform="tangent")
-        assert a != 0
-        assert abs(a - b) <= 1e-9 * abs(a)
 
     def test_determinism(self):
         f = lambda t: np.exp(-t) * np.cos(3 * t)
@@ -252,6 +239,68 @@ class TestWinding:
         # z^9 with coarse initial sampling forces midpoint insertion
         segs = circle(samples=2)
         assert winding_number(lambda z: z**9, segs) == 9
+
+    @staticmethod
+    def counting(f):
+        """f plus the list of point arrays it was called with."""
+        calls = []
+
+        def g(z):
+            calls.append(np.array(z))
+            return f(z)
+        return g, calls
+
+    def test_first_call_covers_every_initial_sample(self):
+        segs = circle(samples=64)
+        g, calls = self.counting(lambda z: z)
+        assert winding_number(g, segs) == 1
+        expected = [s.start + k / s.samples * (s.end - s.start)
+                    for s in segs for k in range(s.samples)]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.array(expected))
+
+    def test_one_call_per_refinement_pass(self):
+        # z^9 on 16 samples turns by 9*2*pi/16 per step and on 32 by
+        # 9*2*pi/32, both at least pi/2; on 64 every step is below pi/2.
+        # So two passes, each halving every step: 16 + 16 + 32 points.
+        g, calls = self.counting(lambda z: z**9)
+        assert winding_number(g, circle(samples=2)) == 9
+        assert [c.size for c in calls] == [16, 16, 32]
+        pts = np.concatenate(calls)
+        assert np.unique(pts).size == pts.size   # no point evaluated twice
+
+    def test_refinement_across_edge_end_and_wrap_around(self):
+        # Two zeros just inside the square, one under the last stretch of
+        # edge 0 (from t = 0.5 up to the corner 1 - 1j, which is edge 1's
+        # first sample) and one next to the path's start -1 - 1j, so the
+        # step from the last sample back to the first needs refinement.
+        f = lambda z: (z - (0.5 - 0.99j)) * (z - (-0.99 - 0.99j))
+        g, calls = self.counting(f)
+        assert winding_number(g, rectangle_path(-1, 1, -1, 1, 2)) == 2
+        assert len(calls) >= 2
+        assert 0.5 - 1j in calls[1]      # edge 0 at t = 0.75
+        assert -1 - 0.5j in calls[1]     # edge 3 at t = 0.75, before the wrap
+
+    def test_contour_zero_point_first_in_path_order_initial(self):
+        # Zeros at edge 0, t = 0.75 and edge 1, t = 0.25: the first in
+        # path order is not the one with the smaller t.
+        f = lambda z: (z - (0.5 - 1j)) * (z - (1 - 0.5j))
+        g, calls = self.counting(f)
+        with pytest.raises(ContourZeroError) as err:
+            winding_number(g, rectangle_path(-1, 1, -1, 1, 4), min_modulus=1e-8)
+        assert err.value.point == 0.5 - 1j
+        assert len(calls) == 1
+
+    def test_contour_zero_point_first_in_path_order_refinement(self):
+        # Zeros at edge 0, t = 0.875 and edge 1, t = 0.125: no initial
+        # sample, but the midpoints of the steps across them.
+        f = lambda z: (z - (0.75 - 1j)) * (z - (1 - 0.75j))
+        g, calls = self.counting(f)
+        with pytest.raises(ContourZeroError) as err:
+            winding_number(g, rectangle_path(-1, 1, -1, 1, 4), min_modulus=1e-8)
+        assert err.value.point == 0.75 - 1j
+        assert len(calls) == 2
+        assert 1 - 0.75j in calls[1]
 
 
 class TestSpecs:

@@ -41,7 +41,7 @@ class TestFourierImpedance:
     def test_invariant_under_kmax_doubling(self, base_params):
         cfg = default_config(base_params)
         z1 = fourier_impedance(base_params, cfg)
-        cfg2 = OracleConfig(k_max=2.0 * cfg.k_max, n_k=cfg.n_k,
+        cfg2 = OracleConfig(k_max=2.0 * cfg.k_max,
                             mu_nodes=cfg.mu_nodes, x_max=cfg.x_max, n_x=cfg.n_x)
         z2 = fourier_impedance(base_params, cfg2)
         assert abs(z1 - z2) <= 1e-9 * abs(z1)
