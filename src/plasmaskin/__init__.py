@@ -50,6 +50,7 @@ from .solution import (
     SolutionCoefficients,
     check_residue_identity,
     compute_J,
+    compute_J_many,
     compute_coefficients,
     continuum_coefficient,
     field_e,

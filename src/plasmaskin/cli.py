@@ -36,6 +36,9 @@ from .solution import compute_coefficients, field_e, field_h, impedance
 CSV_HEADER = "gamma,re_Z0,im_Z0,abs_Z0,arg_Z0,n_zeros,eta0_re,eta0_im,status"
 DEFAULT_PANEL_GAMMAS = (0.1, 0.5, 0.9, 1.0, 1.3)
 _SPECULARITY_MUS = (0.3, 1.0, 2.2)
+# Sweep rows per shared J quadrature: J costs 3.1 ms a row alone, 0.62 ms
+# in blocks of 9 and 0.45 ms in blocks of 16 (resonance grid, one core).
+_SWEEP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -82,40 +85,73 @@ def _principal_arg(z: complex) -> float:
     return math.pi if a == -math.pi else a
 
 
-def _sweep_point(task) -> SweepRow:
-    gamma, epsilon, v_c = task
-    try:
-        p = make_params(gamma, epsilon, v_c)
-        info = _spectrum.analyze(p)
-        z0 = impedance(p).Z0
-        eta0 = info.zeros[0]
-        return SweepRow(gamma=gamma, re_Z0=z0.real, im_Z0=z0.imag,
-                        abs_Z0=math.hypot(z0.real, z0.imag),
-                        arg_Z0=_principal_arg(z0), n_zeros=info.n_zeros,
-                        eta0_re=eta0.real, eta0_im=eta0.imag, status="ok")
-    except BoundaryProximityError as exc:
+def _failed_row(gamma: float, exc: Exception) -> SweepRow:
+    if isinstance(exc, BoundaryProximityError):
         return SweepRow(gamma=gamma, status="near_boundary", detail=str(exc))
-    except Exception as exc:  # keep the sweep going; record the failure
-        return SweepRow(gamma=gamma, status="error",
-                        detail=f"{type(exc).__name__}: {exc}")
+    return SweepRow(gamma=gamma, status="error",
+                    detail=f"{type(exc).__name__}: {exc}")
+
+
+def _sweep_row(p, info, J: complex) -> SweepRow:
+    z0 = impedance(p, J=J).Z0
+    eta0 = info.zeros[0]
+    return SweepRow(gamma=p.gamma, re_Z0=z0.real, im_Z0=z0.imag,
+                    abs_Z0=math.hypot(z0.real, z0.imag),
+                    arg_Z0=_principal_arg(z0), n_zeros=info.n_zeros,
+                    eta0_re=eta0.real, eta0_im=eta0.imag, status="ok")
+
+
+def _sweep_block(tasks) -> list[SweepRow]:
+    """Rows for consecutive grid points, sharing one J quadrature.
+
+    Each point's spectrum is analyzed on its own; the points that pass
+    get J from one ``compute_J_many`` call.  If that call raises, J is
+    recomputed point by point, so that each row keeps its own status
+    and cause.
+    """
+    rows, ready = [], []
+    for gamma, epsilon, v_c in tasks:
+        try:
+            p = make_params(gamma, epsilon, v_c)
+            ready.append((len(rows), p, _spectrum.analyze(p)))
+            rows.append(None)
+        except Exception as exc:  # keep the sweep going; record the failure
+            rows.append(_failed_row(gamma, exc))
+    try:
+        Js = _solution.compute_J_many([p for _, p, _ in ready]) if ready else ()
+    except Exception:  # recomputed point by point below
+        Js = None
+    for k, (i, p, info) in enumerate(ready):
+        try:
+            J = _solution.compute_J(p) if Js is None else complex(Js[k])
+            rows[i] = _sweep_row(p, info, J)
+        except Exception as exc:
+            rows[i] = _failed_row(p.gamma, exc)
+    return rows
 
 
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]:
     """One row per gamma grid point, in ascending gamma order.
 
-    Rows are computed concurrently (the per-point computation only
-    shares immutable inputs); failures become status-tagged rows.
+    The grid is split into fixed blocks of consecutive points
+    (``_SWEEP_BLOCK``), each computed with one shared J quadrature, so
+    Z0 agrees with single-point ``impedance`` to the quadrature
+    tolerance, not bit for bit.  Blocks run concurrently in a process
+    pool (they share only immutable inputs); the rows do not depend on
+    ``max_workers``.  Failures become status-tagged rows.
     """
     tasks = [(float(g), spec.epsilon, spec.v_c) for g in spec.grid()]
+    blocks = [tasks[i:i + _SWEEP_BLOCK]
+              for i in range(0, len(tasks), _SWEEP_BLOCK)]
     if max_workers is None:
         max_workers = min(8, os.cpu_count() or 1)
-    if max_workers <= 1 or len(tasks) < 4:
-        return [_sweep_point(t) for t in tasks]
+    if max_workers <= 1 or len(blocks) < 2:
+        return [row for b in blocks for row in _sweep_block(b)]
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as ex:
-            return list(ex.map(_sweep_point, tasks, chunksize=8))
+            return [row for rows in ex.map(_sweep_block, blocks) for row in rows]
     except (OSError, PermissionError):
-        return [_sweep_point(t) for t in tasks]
+        return [row for b in blocks for row in _sweep_block(b)]
 
 
 def _fmt(x) -> str:

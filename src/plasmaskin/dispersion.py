@@ -178,27 +178,36 @@ def lam_prime(z: complex, p: PlasmaParams) -> complex:
     return 2.0 * (p.b - p.a) * z + p.a * comb
 
 
-def lam_imag_axis(tau, p: PlasmaParams) -> np.ndarray:
-    """Dispersion function on the imaginary axis, lam(i*tau) for real tau.
+def _tau2_lambda0(tau) -> np.ndarray:
+    """tau**2*lambda0(i*tau) for real tau: the p-independent term of lam(i*tau).
 
-    Uses the erfcx specialization of lambda0 (moment series beyond the
-    far-field radius, where 1 - sqrt(pi)*tau*erfcx(tau) would cancel),
-    i.e. the stable closed form 1 - (b-a)*tau**2 - a*tau**2*lambda0(i*tau).
-    Vectorized; accepts scalars or arrays.
+    The erfcx specialization of lambda0 below the far-field radius, the
+    moment series beyond it (where 1 - sqrt(pi)*tau*erfcx(tau) would
+    cancel).  Real-valued; accepts scalars or arrays.
     """
     tau = np.asarray(tau, dtype=float)
     at = np.abs(tau)
-    t2 = tau * tau
     t2lam0 = np.empty(tau.shape)
     near = at < FAR_FIELD_RADIUS
     far = ~near
     if near.any():
         a_n = at[near]
-        t2lam0[near] = t2[near] * (1.0 - SQRT_PI * a_n * _sp.erfcx(a_n))
+        t2lam0[near] = a_n * a_n * (1.0 - SQRT_PI * a_n * _sp.erfcx(a_n))
     if far.any():
         # (i*tau)**2*lambda0(i*tau) is real: Horner in u = -1/tau**2.
         t2lam0[far] = _zsq_lambda0_far(1j * at[far]).real * (-1.0)
-    return 1.0 - (p.b - p.a) * t2 - p.a * t2lam0
+    return t2lam0
+
+
+def lam_imag_axis(tau, p: PlasmaParams) -> np.ndarray:
+    """Dispersion function on the imaginary axis, lam(i*tau) for real tau.
+
+    The stable closed form 1 - (b-a)*tau**2 - a*tau**2*lambda0(i*tau),
+    affine in (a, b) with the p-independent term of :func:`_tau2_lambda0`.
+    Vectorized; accepts scalars or arrays.
+    """
+    tau = np.asarray(tau, dtype=float)
+    return 1.0 - (p.b - p.a) * (tau * tau) - p.a * _tau2_lambda0(tau)
 
 
 def lam_asymptotic(z: complex, p: PlasmaParams) -> complex:

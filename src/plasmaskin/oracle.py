@@ -115,10 +115,8 @@ def fourier_impedance(p: PlasmaParams, cfg: OracleConfig | None = None, *,
     kf = field_wavenumber(p)
     ks = np.geomspace(max(kf, 1e-8) * 1e-3, kmax, _N_K)
     mods = np.abs(_denominator(ks, p))
-    bps = [kf]
-    for i in range(1, len(ks) - 1):
-        if mods[i] < mods[i - 1] and mods[i] < mods[i + 1]:
-            bps.append(ks[i])
+    mid = mods[1:-1]
+    bps = [kf, *ks[1:-1][(mid < mods[:-2]) & (mid < mods[2:])]]
     half = integrate_finite(f, 0.0, kmax, spec, breakpoints=bps)
 
     # Analytic tail: 1/D = -(1/k**2)*(1 + s + s**2 + ...) with

@@ -18,7 +18,9 @@ from plasmaskin.cli import (
     write_rows_csv,
     write_rows_json,
 )
+from plasmaskin.dispersion import make_params
 from plasmaskin.errors import BoundaryProximityError, DomainError
+from plasmaskin.solution import impedance
 
 
 class TestSweep:
@@ -97,6 +99,35 @@ class TestFailedRowDetail:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "0.40000000000000002,,,,,,,,error"
         assert lines[3] == "0.59999999999999998,,,,,,,,near_boundary"
+
+
+class TestSweepBlocks:
+    def test_rows_do_not_depend_on_workers(self):
+        # Three blocks, the last one short.
+        spec = SweepSpec(gamma_start=0.9, gamma_end=1.1,
+                         n_points=2 * cli._SWEEP_BLOCK + 3)
+        assert run_sweep(spec, max_workers=1) == run_sweep(spec, max_workers=2)
+
+    def test_block_agrees_with_single_point_impedance(self):
+        spec = SweepSpec(gamma_start=0.95, gamma_end=1.05, n_points=5)
+        for r in run_sweep(spec, max_workers=1):
+            z0 = impedance(make_params(r.gamma, spec.epsilon, spec.v_c)).Z0
+            assert abs(complex(r.re_Z0, r.im_Z0) - z0) <= 1e-10 * abs(z0)
+
+    def test_failed_J_marks_only_its_row(self, monkeypatch):
+        # |lam(i*tau)| dips to 0.013 at gamma = 0.95 and stays >= 1 above
+        # the resonance, so a floor of 0.5 fails the block's J and then
+        # the first row's J alone; the other rows get J point by point.
+        monkeypatch.setattr(cli._solution, "_LAM_FLOOR", 0.5)
+        spec = SweepSpec(gamma_start=0.95, gamma_end=1.1, n_points=4)
+        rows = run_sweep(spec, max_workers=1)
+        assert [r.status for r in rows] == ["error", "ok", "ok", "ok"]
+        assert rows[0].detail.startswith("SpectralDegeneracyError: ")
+        assert "gamma = 0.94999999999999996" in rows[0].detail
+        assert rows[0].re_Z0 is None and rows[0].n_zeros is None
+        for r in rows[1:]:
+            z0 = impedance(make_params(r.gamma, spec.epsilon, spec.v_c)).Z0
+            assert (r.re_Z0, r.im_Z0, r.detail) == (z0.real, z0.imag, None)
 
 
 @pytest.mark.parametrize("args", [

@@ -13,7 +13,10 @@ from plasmaskin import (
     impedance,
     make_params,
 )
+from plasmaskin import oracle
 from plasmaskin.oracle import (
+    _N_K,
+    _denominator,
     _fd_solve,
     _fd_sparse_solve,
     _fd_system,
@@ -59,6 +62,28 @@ class TestFourierImpedance:
         k0 = complex(response_kernel(0.0, p))
         kk = complex(response_kernel(kf, p))
         assert abs(kk - k0) / abs(k0) < 1e-3
+
+
+    @pytest.mark.parametrize("point", [(0.5, 1e-3, 1e-3), (1.0, 1e-3, 1e-3),
+                                       (1.3, 1e-2, 0.3), (0.05, 1e-4, 0.5)])
+    def test_breakpoints_match_loop_scan(self, monkeypatch, point):
+        seen = []
+
+        def capture(f, a, b, spec, breakpoints=()):
+            seen.append(list(breakpoints))
+            return real(f, a, b, spec, breakpoints)
+
+        real = oracle.integrate_finite
+        monkeypatch.setattr(oracle, "integrate_finite", capture)
+        p = make_params(*point)
+        fourier_impedance(p)
+        # The point-by-point local-minimum scan, kept as the reference.
+        kf = field_wavenumber(p)
+        ks = np.geomspace(max(kf, 1e-8) * 1e-3, default_config(p).k_max, _N_K)
+        mods = np.abs(_denominator(ks, p))
+        ref = [kf] + [ks[i] for i in range(1, len(ks) - 1)
+                      if mods[i] < mods[i - 1] and mods[i] < mods[i + 1]]
+        assert seen == [ref]
 
 
 class TestFdProfile:

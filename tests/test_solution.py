@@ -9,8 +9,10 @@ import pytest
 
 from plasmaskin import (
     DomainError,
+    SpectralDegeneracyError,
     check_residue_identity,
     compute_J,
+    compute_J_many,
     compute_coefficients,
     continuum_coefficient,
     field_e,
@@ -20,10 +22,17 @@ from plasmaskin import (
     lam_boundary,
     make_params,
 )
-from plasmaskin.dispersion import lam_imag_axis
-from plasmaskin.numerics import QuadratureSpec, integrate_semi_infinite
+from plasmaskin import solution
+from plasmaskin.cli import _SWEEP_BLOCK
+from plasmaskin.dispersion import lam_imag_axis, zero_scale_estimate
+from plasmaskin.numerics import (
+    DEFAULT_QUAD,
+    QuadratureSpec,
+    integrate_semi_infinite,
+)
 from plasmaskin.solution import (
     _continuum_weight,
+    _spike_breakpoints,
     e_prime_at_surface,
     residual_coefficient_constant,
     residual_field_normalization,
@@ -60,6 +69,71 @@ class TestComputeJ:
         J_base = compute_J(base_params)
         J_tiny = compute_J(make_params(1e-3, 1e-3, 1e-8))
         assert abs(J_tiny) > 1e3 * abs(J_base)
+
+
+class TestComputeJMany:
+    _TIGHT = QuadratureSpec(rel_tol=1e-14)
+
+    @pytest.mark.parametrize("ps", [
+        [make_params(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 64)],
+        # A sweep_wide-like block: six log-spaced gammas over a quarter decade.
+        [make_params(float(g), 3e-4, 0.05) for g in np.geomspace(0.2, 0.356, 6)],
+    ], ids=["resonance", "log_block"])
+    def test_blocks_match_tight_reference(self, ps):
+        ref = np.array([compute_J(p, self._TIGHT) for p in ps])
+        blocks = np.concatenate([compute_J_many(ps[i:i + _SWEEP_BLOCK])
+                                 for i in range(0, len(ps), _SWEEP_BLOCK)])
+        per_row = np.array([compute_J(p) for p in ps])
+        blk_err = np.max(np.abs(blocks - ref) / np.abs(ref))
+        row_err = np.max(np.abs(per_row - ref) / np.abs(ref))
+        assert blk_err <= 1e-10
+        # No worse than one quadrature per row, or within the tolerance.
+        assert blk_err <= max(row_err, DEFAULT_QUAD.rel_tol)
+
+    @pytest.mark.parametrize("point", [(1e-3, 1e-3, 1e-3), (0.5, 1e-3, 1e-3),
+                                       (0.95, 1e-4, 0.3), (1.3, 1e-2, 0.3)])
+    def test_single_point_is_compute_J_bit_for_bit(self, point):
+        p = make_params(*point)
+        J = compute_J(p)
+        assert J == compute_J_many([p])[0]
+        # The single-point recipe, spelled out: a scalar integrand on the
+        # point's own scale and spike breakpoints.
+        scale = max(1.0, zero_scale_estimate(p))
+        val = integrate_semi_infinite(lambda t: 1.0 / lam_imag_axis(t, p),
+                                      scale=scale,
+                                      breakpoints=_spike_breakpoints(p, scale))
+        assert J == val / math.pi
+
+    def test_degenerate_row_is_named(self, monkeypatch):
+        # |lam(i*tau)| dips to 0.013 at gamma = 0.95 and stays >= 1 above
+        # the resonance; a floor of 0.5 rejects only the first row.
+        monkeypatch.setattr(solution, "_LAM_FLOOR", 0.5)
+        ps = [make_params(g, 1e-3, 1e-3) for g in (1.0, 0.95, 1.05)]
+        with pytest.raises(SpectralDegeneracyError, match="gamma = 0.9499"):
+            compute_J_many(ps)
+        compute_J_many([ps[0], ps[2]])
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(DomainError):
+            compute_J_many([])
+
+
+def _loop_minima(xs, mods, below=math.inf):
+    """The point-by-point local-minimum scan (the reference)."""
+    return [xs[i] for i in range(1, len(xs) - 1)
+            if mods[i] < mods[i - 1] and mods[i] < mods[i + 1]
+            and mods[i] < below]
+
+
+def test_spike_breakpoints_match_loop_scan():
+    points = [(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 200)]
+    points += [(0.3, 1e-2, 0.1), (0.5, 1e-4, 0.3), (1.5, 1e-3, 0.3)]
+    for point in points:
+        p = make_params(*point)
+        scale = max(1.0, zero_scale_estimate(p))
+        taus = np.geomspace(1e-3 * scale, 1e3 * scale, 600)
+        ref = _loop_minima(taus, np.abs(lam_imag_axis(taus, p)), below=0.5)
+        assert list(_spike_breakpoints(p, scale)) == ref
 
 
 class TestCoefficients:
