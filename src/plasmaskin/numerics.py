@@ -14,6 +14,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,16 +271,44 @@ def newton_refine(f, fprime, z0: complex, tol: float, max_iter: int = 60) -> com
     raise NewtonError(f"no convergence within {max_iter} iterations", iterates)
 
 
-def _closed_vertices(path):
-    segs = list(path)
-    if not segs:
+class _PathSamples(NamedTuple):
+    """A closed polyline's initial winding samples, as read-only arrays.
+
+    ``starts`` and ``spans`` hold one entry per edge; ``edge``, ``t`` and
+    ``points`` one per sample, the sample being
+    ``starts[edge] + t*spans[edge]``.
+    """
+
+    starts: np.ndarray
+    spans: np.ndarray
+    edge: np.ndarray
+    t: np.ndarray
+    points: np.ndarray
+
+
+def _sample_path(path) -> _PathSamples:
+    """Check that a sequence of PathSegments closes; sample each edge.
+
+    Edge k contributes samples t = 0, 1/n_k, ..., (n_k - 1)/n_k; its
+    t = 1 end is the next edge's first sample.
+    """
+    rows = [(s.start, s.end, s.samples) for s in path]
+    if not rows:
         raise DomainError("path is empty")
-    scale = max(max(abs(s.start), abs(s.end)) for s in segs)
-    tol = 1e-12 * max(scale, 1.0)
-    for cur, nxt in zip(segs, segs[1:] + segs[:1]):
-        if abs(cur.end - nxt.start) > tol:
-            raise DomainError("path is not closed")
-    return segs
+    starts, ends, counts = zip(*rows)
+    # Each edge's start, its end and the next edge's start.
+    v = np.array([starts, ends, starts[1:] + starts[:1]], dtype=complex)
+    if (np.abs(v[1] - v[2]) > 1e-12 * max(np.abs(v[:2]).max(), 1.0)).any():
+        raise DomainError("path is not closed")
+    starts, spans = v[0], v[1] - v[0]
+    counts = np.array(counts)
+    edge = np.arange(counts.size).repeat(counts)
+    first = counts.cumsum() - counts
+    t = (np.arange(edge.size) - first[edge]) / counts[edge]
+    samples = _PathSamples(starts, spans, edge, t, starts[edge] + t * spans[edge])
+    for a in samples:
+        a.flags.writeable = False
+    return samples
 
 
 def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
@@ -290,22 +319,19 @@ def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
     below pi/2.  f is called once on all initial samples, then once per
     refinement pass on all new midpoints.  Raises :class:`ContourZeroError`
     at the first point in path order where |f| falls to ``min_modulus``
-    or below, and :class:`WindingError` if refinement stalls.
+    or below, and :class:`WindingError` if refinement stalls.  ``path``
+    may also be the result of ``_sample_path``, so that a fixed contour
+    is checked and sampled only once.
     """
-    segs = _closed_vertices(path)
-    starts = np.array([s.start for s in segs], dtype=complex)
-    spans = np.array([s.end - s.start for s in segs], dtype=complex)
+    path = path if isinstance(path, _PathSamples) else _sample_path(path)
 
-    def evaluate(edge, t):
-        pts = starts[edge] + t * spans[edge]
+    def evaluate(pts):
         vals = np.asarray(f(pts), dtype=np.complex128)
         _check_floor(vals, pts, min_modulus)
         return vals
 
-    # t = 1 of an edge is the next edge's first sample.
-    edge = np.repeat(np.arange(len(segs)), [s.samples for s in segs])
-    t = np.concatenate([np.arange(s.samples) / s.samples for s in segs])
-    vals = evaluate(edge, t)
+    edge, t = path.edge, path.t
+    vals = evaluate(path.points)
 
     for _ in range(_MAX_PASSES):
         steps = np.diff(np.angle(np.append(vals, vals[:1])))
@@ -326,8 +352,9 @@ def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
         mid = 0.5 * (lo + hi)
         if np.any((mid <= lo) | (mid >= hi)):
             raise WindingError("refinement collapsed below resolution")
-        new_vals = evaluate(edge[bad], mid)
-        edge = np.insert(edge, bad + 1, edge[bad])
+        new_edge = edge[bad]
+        new_vals = evaluate(path.starts[new_edge] + mid * path.spans[new_edge])
+        edge = np.insert(edge, bad + 1, new_edge)
         t = np.insert(t, bad + 1, mid)
         vals = np.insert(vals, bad + 1, new_vals)
 

@@ -32,6 +32,7 @@ machinery beyond the Gaussian Hilbert-transform kernel:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,15 @@ def _graded_grid(x_max: float, n: int) -> np.ndarray:
     return x_max * u * u
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_rule(mu_nodes: int):
+    """Gauss-Hermite nodes and weights in velocity, as read-only arrays."""
+    rule = np.polynomial.hermite.hermgauss(mu_nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _fd_system(p: PlasmaParams, x: np.ndarray, mu_nodes: int):
     """Sparse matrix and right-hand side of the box-scheme system.
 
@@ -153,7 +163,7 @@ def _fd_system(p: PlasmaParams, x: np.ndarray, mu_nodes: int):
     depth j at index nx + i*nx + j.  This literal discretization is the
     reference that ``_fd_solve``'s elimination is tested against.
     """
-    nodes, wts = np.polynomial.hermite.hermgauss(mu_nodes)
+    nodes, wts = _hermite_rule(mu_nodes)
     nx = x.size
     m = mu_nodes
     n_unknown = nx + m * nx
@@ -305,7 +315,7 @@ def fd_profile(p: PlasmaParams, cfg: OracleConfig | None = None) -> FieldProfile
     cfg = cfg if cfg is not None else default_config(p)
     x_coarse = _graded_grid(cfg.x_max, cfg.n_x)
     x_fine = _graded_grid(cfg.x_max, 2 * cfg.n_x - 1)
-    rule = np.polynomial.hermite.hermgauss(cfg.mu_nodes)
+    rule = _hermite_rule(cfg.mu_nodes)
     e_coarse = _fd_solve(p, x_coarse, *rule)
     e_fine = _fd_solve(p, x_fine, *rule)
     # Coarse points are the even-index fine points by construction.

@@ -54,6 +54,10 @@ for _k in range(1, 15):
     _dfact *= (2 * _k - 1) / 2.0
     _MOMENTS.append(_dfact)
 _MOMENTS_REV = tuple(reversed(_MOMENTS))
+# Coefficients 2*(k-1)*c_k, k = 14 down to 2, of the derivative
+# combination's series (see _lambda0_deriv_comb_far).
+_DERIV_COMB_REV = tuple(2.0 * (k - 1) * _MOMENTS[k - 1]
+                        for k in range(len(_MOMENTS), 1, -1))
 
 
 def _zsq_lambda0_far(z):
@@ -80,8 +84,8 @@ def _lambda0_deriv_comb_far(z):
     """
     u = 1.0 / (z * z)
     acc = 0.0
-    for k in range(len(_MOMENTS), 1, -1):
-        acc = acc * u + 2.0 * (k - 1) * _MOMENTS[k - 1]
+    for c in _DERIV_COMB_REV:
+        acc = acc * u + c
     return acc * u / z
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,9 +99,15 @@ def _strip_path(L: float, eps: float):
     return segs
 
 
+@functools.lru_cache(maxsize=16)
+def _strip_samples(L: float, eps: float):
+    """The strip's winding samples: built and checked once per (L, eps)."""
+    return numerics._sample_path(_strip_path(L, eps))
+
+
 def strip_winding(f, L: float, eps: float, *, min_modulus: float = 0.0) -> int:
     """Counterclockwise winding of f along the thin cut-hugging rectangle."""
-    return winding_number(f, _strip_path(L, eps), min_modulus=min_modulus)
+    return winding_number(f, _strip_samples(L, eps), min_modulus=min_modulus)
 
 
 def _strip_half_length(contour_scale: float) -> float:

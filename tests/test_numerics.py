@@ -19,7 +19,7 @@ from plasmaskin import (
     newton_refine,
     winding_number,
 )
-from plasmaskin.numerics import rectangle_path
+from plasmaskin.numerics import _sample_path, rectangle_path
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4000)
 
@@ -232,8 +232,29 @@ class TestWinding:
 
     def test_open_path_rejected(self):
         segs = [PathSegment(0j, 1 + 0j, 4), PathSegment(1 + 0j, 1 + 1j, 4)]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not closed"):
             winding_number(lambda z: z + 2.0, segs)
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            winding_number(lambda z: z, [])
+
+    def test_samples_match_per_segment_construction(self):
+        # Mixed sample counts, a closing gap inside the 1e-12 tolerance.
+        segs = circle(samples=3)[:5] + [
+            PathSegment(s.start, s.end + 1e-13, n)
+            for s, n in zip(circle()[5:], (2, 7, 5))]
+        got = _sample_path(segs)
+        starts = np.array([s.start for s in segs], dtype=complex)
+        spans = np.array([s.end - s.start for s in segs], dtype=complex)
+        edge = np.repeat(np.arange(len(segs)), [s.samples for s in segs])
+        t = np.concatenate([np.arange(s.samples) / s.samples for s in segs])
+        for a, b in zip(got, (starts, spans, edge, t,
+                              starts[edge] + t * spans[edge])):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+        f = lambda z: (z - 0.3j) * (z + 0.2)
+        assert winding_number(f, got) == winding_number(f, segs) == 2
 
     def test_needs_refinement_high_order(self):
         # z^9 with coarse initial sampling forces midpoint insertion

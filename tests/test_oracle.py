@@ -133,6 +133,15 @@ class TestFdProfile:
         assert e1 / e2 >= 3.0
 
 
+def test_hermite_rule_cached_read_only():
+    for m in (9, 32):
+        rule = oracle._hermite_rule(m)
+        assert oracle._hermite_rule(m) is rule
+        for a, b in zip(rule, np.polynomial.hermite.hermgauss(m)):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
 class TestStructuredFdSolve:
     """The exact elimination in ``_fd_solve`` against a sparse LU of the
     literal box-scheme system, on both Richardson grids."""

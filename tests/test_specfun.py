@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from plasmaskin import DomainError, erfcx, gauss_hilbert, lambda0, p_func
+from plasmaskin import specfun
 from plasmaskin.specfun import SQRT_PI, gauss_hilbert_array
 
 mp.mp.dps = 30
@@ -144,6 +145,17 @@ class TestLambda0:
         for x, y in rng.uniform(-25, 25, size=(30, 2)):
             z = complex(x, y if abs(y) > 0.05 else 0.4)
             assert lambda0(-z) == pytest.approx(lambda0(z), rel=1e-12)
+
+    def test_far_derivative_series_coefficients(self, rng):
+        # The precomputed coefficients give the series summed with the
+        # coefficients formed term by term, bit for bit.
+        moments = specfun._MOMENTS
+        z = 15.0 * np.exp(2j * np.pi * rng.uniform(size=64)) * rng.uniform(1, 50, 64)
+        u = 1.0 / (z * z)
+        acc = 0.0
+        for k in range(len(moments), 1, -1):
+            acc = acc * u + 2.0 * (k - 1) * moments[k - 1]
+        assert np.array_equal(specfun._lambda0_deriv_comb_far(z), acc * u / z)
 
 
 class TestErfcx:

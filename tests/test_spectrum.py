@@ -1,8 +1,11 @@
 """Zero counting and zero location for the dispersion function."""
 
+import numpy as np
 import pytest
 
 from plasmaskin import (
+    BoundaryProximityError,
+    ContourZeroError,
     DomainError,
     compute_J,
     count_zeros,
@@ -13,6 +16,8 @@ from plasmaskin import (
     lam_prime,
     make_params,
 )
+from plasmaskin import spectrum
+from plasmaskin.dispersion import lam_many
 from plasmaskin.spectrum import Region, strip_winding
 
 
@@ -53,6 +58,106 @@ class TestStripCount:
     def test_bad_scale_rejected(self, base_params):
         with pytest.raises(DomainError):
             count_zeros(base_params, contour_scale=0.0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or what it raised: class, message, and the point or
+    boundary position carried by the error and by its cause."""
+    try:
+        return fn(*args, **kwargs)
+    except (ContourZeroError, BoundaryProximityError) as exc:
+        cause = exc.__cause__
+        return (type(exc), str(exc), getattr(exc, "point", None),
+                getattr(exc, "mu", None), type(cause), str(cause),
+                getattr(cause, "point", None))
+
+
+# The resonance sweep, and the default-range sweep at v_c = 0.5 whose
+# count declines 163 of 401 rows (the count comes out 0 there).
+_CACHE_GRIDS = {
+    "resonance": (np.linspace(0.9, 1.1, 401), 1e-3, 1e-3),
+    "vc_0.5": (np.linspace(0.01, 2.0, 401), 1e-3, 0.5),
+}
+
+
+class TestStripCache:
+    """The counting strip is built, checked and sampled once per (L, eps)."""
+
+    # A floor of 1.0 trips ContourZeroError on most rows of both grids.
+    @pytest.mark.parametrize("floor, stride", [(spectrum.BOUNDARY_FLOOR, 1),
+                                               (1.0, 8)])
+    @pytest.mark.parametrize("grid", sorted(_CACHE_GRIDS))
+    def test_cached_strip_matches_fresh_path(self, grid, floor, stride,
+                                             monkeypatch):
+        gammas, epsilon, v_c = _CACHE_GRIDS[grid]
+        ps = [make_params(float(g), epsilon, v_c) for g in gammas[::stride]]
+        L = spectrum._strip_half_length(1.0)
+        eps = spectrum.EPS_CONTOUR
+        monkeypatch.setattr(spectrum, "BOUNDARY_FLOOR", floor)
+
+        def outcomes():
+            out = []
+            for p in ps:
+                out.append(_outcome(count_zeros, p))
+                out.append(_outcome(strip_winding, lambda z: lam_many(z, p),
+                                    L, eps, min_modulus=floor))
+            return out
+
+        cached = outcomes()
+        # A fresh list of PathSegments on every call, through the general
+        # winding_number route.
+        monkeypatch.setattr(spectrum, "_strip_samples", spectrum._strip_path)
+        fresh = outcomes()
+        assert cached == fresh
+        raised = [o for o in cached if isinstance(o, tuple)]
+        if floor == 1.0:
+            assert sum(o[0] is ContourZeroError for o in raised) >= 40
+        elif grid == "vc_0.5":
+            assert len(raised) == 163
+        else:
+            assert raised == []
+
+    def test_second_call_does_not_rebuild(self, base_params, monkeypatch):
+        built = []
+
+        class Spy(spectrum.PathSegment):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(spectrum, "PathSegment", Spy)
+        spectrum._strip_samples.cache_clear()
+        try:
+            assert count_zeros(base_params) == 2
+            first = len(built)
+            assert first > 0
+            assert count_zeros(make_params(0.5, 1e-3, 1e-3)) == 2
+            assert len(built) == first
+        finally:
+            spectrum._strip_samples.cache_clear()
+
+    def test_cached_arrays_reject_writes(self, base_params):
+        count_zeros(base_params)
+        samples = spectrum._strip_samples(spectrum._strip_half_length(1.0),
+                                          spectrum.EPS_CONTOUR)
+        assert samples._fields == ("starts", "spans", "edge", "t", "points")
+        for a in samples:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_contour_scale_gets_its_own_strip(self, base_params):
+        spectrum._strip_samples.cache_clear()
+        assert count_zeros(base_params) == 2
+        assert count_zeros(base_params, contour_scale=2.0) == 2
+        assert spectrum._strip_samples.cache_info().currsize == 2
+        for scale in (1.0, 2.0):
+            L = spectrum._strip_half_length(scale)
+            eps = spectrum.EPS_CONTOUR * scale
+            pts = spectrum._strip_samples(L, eps).points
+            assert np.max(pts.real) == L and np.max(pts.imag) == eps
+        assert count_zeros(base_params, contour_scale=2.0) == 2
+        assert spectrum._strip_samples.cache_info().currsize == 2
 
 
 class TestFindZeros:
