@@ -254,9 +254,18 @@ def run_selfcheck(points) -> dict:
 
 def _load_panel(path: str):
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [(float(d["gamma"]), float(d["epsilon"]), float(d["v_c"]))
-            for d in data]
+        try:
+            data = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise DomainError(f"panel {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise DomainError(f"panel {path} must hold a JSON list of points")
+    try:
+        return [(float(d["gamma"]), float(d["epsilon"]), float(d["v_c"]))
+                for d in data]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"panel {path}: each point needs numeric gamma, "
+                          f"epsilon and v_c ({type(exc).__name__}: {exc})") from exc
 
 
 @contextlib.contextmanager

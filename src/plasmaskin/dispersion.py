@@ -139,11 +139,9 @@ def lam_boundary(mu: float, p: PlasmaParams) -> BoundaryValues:
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"non-finite argument {mu!r}")
-    t_pv = gauss_hilbert(complex(mu, 0.0))
-    principal = 1.0 + p.b * mu * mu + p.a * mu**3 * t_pv
-    half_jump = 1j * SQRT_PI * p.a * mu**3 * math.exp(-mu * mu)
-    return BoundaryValues(lambda_plus=principal + half_jump,
-                          lambda_minus=principal - half_jump, at=mu)
+    lp, lm = boundary_arrays(np.array([mu]), p)
+    return BoundaryValues(lambda_plus=complex(lp[0]),
+                          lambda_minus=complex(lm[0]), at=mu)
 
 
 def boundary_arrays(mu, p: PlasmaParams):

@@ -10,6 +10,7 @@ global state.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import itertools
 import math
@@ -246,27 +247,32 @@ def integrate_principal_value(g, pole: float, a: float, b: float,
     return reg_part + gp * math.log((b - pole) / (pole - a))
 
 
-def newton_refine(f, fprime, z0: complex, tol: float, max_iter: int = 60) -> complex:
+def newton_refine(f, fprime, z0: complex, max_iter: int = 80) -> complex:
     """Newton iteration for a simple zero of an analytic f near z0.
 
-    Stops once |f(z)| < tol; raises :class:`NewtonError` (with the
-    iterate trace) on divergence or exhausted iterations.
+    Converged once |f(z)| < 1e-14*s, with s = max(1, |f'(z)|*|z|).  After
+    a step below 5e-17*|z|, or ``max_iter`` steps, z is accepted if
+    |f(z)| < 1e-13*s.  Otherwise, and on a zero or non-finite f' or a
+    non-finite iterate, raises :class:`NewtonError` with the iterate
+    trace.  Errors raised by f or fprime propagate.
     """
     z = complex(z0)
     iterates = [z]
     for _ in range(max_iter):
-        fz = complex(f(z))
-        if abs(fz) < tol:
+        fz, dz = complex(f(z)), complex(fprime(z))
+        if abs(fz) < 1e-14 * max(1.0, abs(dz) * abs(z)):
             return z
-        dz = complex(fprime(z))
-        if dz == 0:
-            raise NewtonError("derivative vanished", iterates)
-        z = z - fz / dz
+        if dz == 0 or not cmath.isfinite(dz):
+            raise NewtonError(f"derivative is {dz} at {z}", iterates)
+        step = fz / dz
+        z = z - step
         iterates.append(z)
-        if (not (math.isfinite(z.real) and math.isfinite(z.imag))
-                or abs(z) > 1e9 * (1.0 + abs(z0))):
-            raise NewtonError("iteration diverged", iterates)
-    if abs(complex(f(z))) < tol:
+        if not cmath.isfinite(z):
+            raise NewtonError("iterate is not finite", iterates)
+        if abs(step) < 5e-17 * abs(z):
+            break
+    fz, dz = complex(f(z)), complex(fprime(z))
+    if abs(fz) < 1e-13 * max(1.0, abs(dz) * abs(z)):
         return z
     raise NewtonError(f"no convergence within {max_iter} iterations", iterates)
 

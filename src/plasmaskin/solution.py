@@ -255,13 +255,6 @@ def _continuum_weight(eta, coeffs, p):
     return -coeffs.C1 * p.a * eta**3 * np.exp(-eta * eta) / (lp * lm)
 
 
-def _recip_jump(eta, coeffs, p):
-    """1/lam_plus - 1/lam_minus on the positive axis, cancellation-free."""
-    eta = np.asarray(eta, dtype=float)
-    lp, lm = boundary_arrays(eta, p)
-    return -2j * SQRT_PI * p.a * eta**3 * np.exp(-eta * eta) / (lp * lm)
-
-
 def field_e(x_grid, coeffs: SolutionCoefficients, p: PlasmaParams,
             spec: QuadratureSpec = _FIELD_QUAD) -> FieldProfile:
     """Electric-field profile e(x) on a grid of depths x >= 0.
@@ -405,76 +398,75 @@ def impedance_reduced_form(p: PlasmaParams, *, c_light: float = 1.0,
     return _assemble_impedance(p, J, c_light)
 
 
-def check_residue_identity(z: complex, coeffs: SolutionCoefficients,
-                           p: PlasmaParams,
-                           spec: QuadratureSpec = _IDENTITY_QUAD) -> float:
-    """Relative residual of the resolvent representation of 1/lam.
-
-    1/lam(z) should equal the boundary-jump integral of 1/lam over the
-    cut plus the pole contributions of the +-eta pairs:
-
-        (1/2/pi/i) int_-oo^oo [1/lam_+ - 1/lam_-] deta/(eta - z)
-          - sum_k 2*eta_k/((eta_k**2 - z**2)*lam'(eta_k)).
-
-    A nonzero residual beyond quadrature error indicates a missed zero.
-    """
+def _identity_residuals(coeffs: SolutionCoefficients, p: PlasmaParams,
+                        z: complex, spec: QuadratureSpec) -> dict:
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("z must lie off the real axis")
-    for eta in coeffs.spectrum.zeros:
+    zeros = coeffs.spectrum.zeros
+    derivs = coeffs.spectrum.lambda_prime_at_zeros
+    for eta in zeros:
         if min(abs(z - eta), abs(z + eta)) < 1e-6 * max(1.0, abs(eta)):
             raise DomainError("z is too close to a discrete zero")
-    lhs = 1.0 / lam(z, p)
 
-    # Fold the odd jump onto the positive half axis.
     def integrand(eta):
         eta = np.asarray(eta, dtype=float)
-        return _recip_jump(eta, coeffs, p) * 2.0 * eta / (eta * eta - z * z)
+        w = _continuum_weight(eta, coeffs, p)
+        jump = (2j * SQRT_PI / coeffs.C1) * w   # 1/lam_plus - 1/lam_minus
+        # The resolvent's odd jump is folded onto the positive half axis.
+        return np.stack([w, jump, jump * 2.0 * eta / (eta * eta - z * z)],
+                        axis=-1)
 
-    integral = integrate_semi_infinite(integrand, spec, scale=2.0)
-    pole_sum = sum(2.0 * eta / ((eta * eta - z * z) * d)
-                   for eta, d in zip(coeffs.spectrum.zeros,
-                                     coeffs.spectrum.lambda_prime_at_zeros))
-    rhs = integral / (2.0 * math.pi * 1j) - pole_sum
-    return abs(lhs - rhs) / abs(lhs)
-
-
-def residual_field_normalization(coeffs: SolutionCoefficients, p: PlasmaParams,
-                                 spec: QuadratureSpec = _IDENTITY_QUAD) -> float:
-    """Relative residual of the surface normalization e(0) = e_s.
-
-    (1/sqrt(pi)) * [sum_k B_k + int_0^oo eta**2*exp(-eta**2)*A(eta) deta]
-    must equal e_s/(a*z0); the continuum term is an independent
-    quadrature over the boundary-value jump.
-    """
-    target = coeffs.e_s / (p.a * p.z0)
-    cont = integrate_semi_infinite(lambda e: _continuum_weight(e, coeffs, p),
-                                   spec, scale=2.0)
-    lhs = (sum(coeffs.discrete_weights) + cont) / SQRT_PI
-    return abs(lhs - target) / abs(target)
-
-
-def residual_coefficient_constant(coeffs: SolutionCoefficients, p: PlasmaParams,
-                                  spec: QuadratureSpec = _IDENTITY_QUAD) -> float:
-    """Relative residual of the reciprocal-sum identity fixing C1.
-
-    -sum_k 1/lam'(eta_k) + (1/2/pi/i) int_0^oo [1/lam_+ - 1/lam_-] deta
-    must equal e_s/(a*z0*C1) (= J); verified against an independent
-    quadrature of the jump on the cut.
-    """
-    target = coeffs.e_s / (p.a * p.z0 * coeffs.C1)
-    integral = integrate_semi_infinite(lambda e: _recip_jump(e, coeffs, p),
-                                       spec, scale=2.0)
-    lhs = (-sum(1.0 / d for d in coeffs.spectrum.lambda_prime_at_zeros)
-           + integral / (2.0 * math.pi * 1j))
-    return abs(lhs - target) / abs(target)
+    cont, jump, folded = integrate_semi_infinite(integrand, spec, scale=2.0)
+    e_target = coeffs.e_s / (p.a * p.z0)
+    e_lhs = (sum(coeffs.discrete_weights) + cont) / SQRT_PI
+    j_target = e_target / coeffs.C1
+    j_lhs = -sum(1.0 / d for d in derivs) + jump / (2.0 * math.pi * 1j)
+    r_lhs = 1.0 / lam(z, p)
+    r_rhs = (folded / (2.0 * math.pi * 1j)
+             - sum(2.0 * eta / ((eta * eta - z * z) * d)
+                   for eta, d in zip(zeros, derivs)))
+    return {
+        "field_normalization": abs(e_lhs - e_target) / abs(e_target),
+        "coefficient_constant": abs(j_lhs - j_target) / abs(j_target),
+        "resolvent": abs(r_lhs - r_rhs) / abs(r_lhs),
+    }
 
 
 def identity_residuals(coeffs: SolutionCoefficients, p: PlasmaParams,
                        z: complex = 2j) -> dict:
-    """All three structural identity residuals in one dictionary."""
-    return {
-        "field_normalization": residual_field_normalization(coeffs, p),
-        "coefficient_constant": residual_coefficient_constant(coeffs, p),
-        "resolvent": check_residue_identity(z, coeffs, p),
-    }
+    """Relative residuals of the three structural identities.
+
+    ``field_normalization``: e(0) = e_s, i.e. (1/sqrt(pi))*[sum_k B_k +
+    int_0^oo eta**2*exp(-eta**2)*A(eta) deta] = e_s/(a*z0).
+    ``coefficient_constant``: the reciprocal sum fixing C1,
+    -sum_k 1/lam'(eta_k) + (1/2/pi/i) int_0^oo [1/lam_+ - 1/lam_-] deta
+    = e_s/(a*z0*C1) (= J).
+    ``resolvent``: 1/lam(z) = (1/2/pi/i) int_-oo^oo [1/lam_+ - 1/lam_-]
+    deta/(eta - z) - sum_k 2*eta_k/((eta_k**2 - z**2)*lam'(eta_k)).
+
+    The three integrals share one vector quadrature (one boundary-value
+    evaluation per node), each to its own relative tolerance.  A residual
+    beyond quadrature error indicates a missed zero or a defective
+    quadrature.  z must lie off the axis, away from the zeros.
+    """
+    return _identity_residuals(coeffs, p, z, _IDENTITY_QUAD)
+
+
+def check_residue_identity(z: complex, coeffs: SolutionCoefficients,
+                           p: PlasmaParams,
+                           spec: QuadratureSpec = _IDENTITY_QUAD) -> float:
+    """The resolvent residual of :func:`identity_residuals` at z."""
+    return _identity_residuals(coeffs, p, z, spec)["resolvent"]
+
+
+def residual_field_normalization(coeffs: SolutionCoefficients,
+                                 p: PlasmaParams) -> float:
+    """The surface-normalization residual of :func:`identity_residuals`."""
+    return identity_residuals(coeffs, p)["field_normalization"]
+
+
+def residual_coefficient_constant(coeffs: SolutionCoefficients,
+                                  p: PlasmaParams) -> float:
+    """The reciprocal-sum residual of :func:`identity_residuals`."""
+    return identity_residuals(coeffs, p)["coefficient_constant"]

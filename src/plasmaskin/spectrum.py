@@ -27,7 +27,6 @@ ascending) and are deterministic.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -47,6 +46,7 @@ from .errors import (
     BoundaryProximityError,
     ContourZeroError,
     DomainError,
+    NewtonError,
     PlasmaSkinError,
 )
 from .numerics import PathSegment, winding_number
@@ -156,36 +156,6 @@ def _rect_winding(p, x0, x1, y0, y1, *, samples=24):
     return winding_number(lambda z: lam_many(z, p), path, min_modulus=1e-290)
 
 
-def _newton_polish(p: PlasmaParams, z0: complex, max_iter: int = 80):
-    """Newton iteration to machine-level residual; None on failure."""
-    z = complex(z0)
-    for _ in range(max_iter):
-        try:
-            fz = lam(z, p)
-            dz = lam_prime(z, p)
-        except DomainError:
-            return None
-        scale = max(1.0, abs(dz) * abs(z))
-        if abs(fz) < 1e-14 * scale:
-            return z
-        if dz == 0 or not cmath.isfinite(dz):
-            return None
-        step = fz / dz
-        z = z - step
-        if not cmath.isfinite(z):
-            return None
-        if abs(step) < 5e-17 * abs(z):
-            break
-    try:
-        fz = lam(z, p)
-        dz = lam_prime(z, p)
-    except DomainError:
-        return None
-    if abs(fz) < 1e-13 * max(1.0, abs(dz) * abs(z)):
-        return z
-    return None
-
-
 def _inside(z, rect, slack=0.0):
     x0, x1, y0, y1 = rect
     mx = slack * (x1 - x0)
@@ -199,7 +169,11 @@ def _subdivide(p, rect, count, depth=0):
     x0, x1, y0, y1 = rect
     if count == 1:
         z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        root = _newton_polish(p, z0)
+        try:
+            root = numerics.newton_refine(lambda z: lam(z, p),
+                                          lambda z: lam_prime(z, p), z0)
+        except (NewtonError, DomainError):
+            root = None  # no polish from the centre; split further
         if root is not None and _inside(root, rect, slack=1e-9):
             return [root]
     if depth > 60:

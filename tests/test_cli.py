@@ -261,6 +261,19 @@ class TestSelfcheck:
         panel.write_text("[]")
         assert main(["selfcheck", "--panel", str(panel)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"gamma": 0.5,', "not valid JSON"),
+        ('[{"gamma": 0.5, "epsilon": 1e-3}]', "needs numeric gamma"),
+        ('{"gamma": 0.5, "epsilon": 1e-3, "v_c": 1e-3}', "JSON list"),
+    ])
+    def test_malformed_panel_is_a_usage_error(self, tmp_path, capsys,
+                                              text, message):
+        panel = tmp_path / "panel.json"
+        panel.write_text(text)
+        assert main(["selfcheck", "--panel", str(panel)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:

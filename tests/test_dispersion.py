@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from plasmaskin import (
     lam_prime,
     make_params,
 )
-from plasmaskin.dispersion import lam_many, zero_scale_estimate
+from plasmaskin.dispersion import boundary_arrays, lam_many, zero_scale_estimate
 from plasmaskin.specfun import SQRT_PI, erfcx
 
 
@@ -109,6 +110,33 @@ class TestBoundary:
             jump = lam(complex(mu, d), base_params) - lam(complex(mu, -d), base_params)
             have = bv.lambda_plus - bv.lambda_minus
             assert abs(jump - have) <= 1e-4 * max(abs(have), 1e-12)
+
+
+class TestBoundaryArrays:
+    MUS = np.linspace(-6.0, 6.0, 41)    # includes mu = 0
+
+    @staticmethod
+    def reference(mu, p):
+        """lam_pm(mu) in 40 digits, with the principal value -2*D(mu)."""
+        with mp.workdps(40):
+            mu = mp.mpf(float(mu))
+            a, b = mp.mpc(p.a), mp.mpc(p.b)
+            dawson = mp.sqrt(mp.pi) / 2 * mp.exp(-mu * mu) * mp.erfi(mu)
+            principal = 1 + b * mu**2 + a * mu**3 * (-2 * dawson)
+            half_jump = 1j * mp.sqrt(mp.pi) * a * mu**3 * mp.exp(-mu * mu)
+            return (complex(principal + half_jump),
+                    complex(principal - half_jump))
+
+    @pytest.mark.parametrize("point", [(1e-3, 1e-3, 1e-3), (0.1, 0.1, 0.5),
+                                       (1.3, 1e-2, 0.3)])
+    def test_matches_mpmath(self, point):
+        p = make_params(*point)
+        lp, lm = boundary_arrays(self.MUS, p)
+        assert lp.shape == lm.shape == self.MUS.shape
+        for mu, have_p, have_m in zip(self.MUS, lp, lm):
+            want_p, want_m = self.reference(mu, p)
+            assert abs(have_p - want_p) <= 1e-13 * abs(want_p), mu
+            assert abs(have_m - want_m) <= 1e-13 * abs(want_m), mu
 
 
 class TestLamPrime:

@@ -24,7 +24,12 @@ from plasmaskin import (
 )
 from plasmaskin import solution
 from plasmaskin.cli import _SWEEP_BLOCK
-from plasmaskin.dispersion import lam_imag_axis, zero_scale_estimate
+from plasmaskin.dispersion import (
+    boundary_arrays,
+    lam,
+    lam_imag_axis,
+    zero_scale_estimate,
+)
 from plasmaskin.numerics import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -34,6 +39,7 @@ from plasmaskin.solution import (
     _continuum_weight,
     _spike_breakpoints,
     e_prime_at_surface,
+    identity_residuals,
     residual_coefficient_constant,
     residual_field_normalization,
 )
@@ -380,3 +386,56 @@ class TestResolventIdentity:
         with pytest.raises(DomainError):
             check_residue_identity(base_coeffs.spectrum.zeros[0],
                                    base_coeffs, base_params)
+
+
+def _separate_identities(coeffs, p, z=2j):
+    """The three identity residuals, each from its own scalar quadrature."""
+    spec = solution._IDENTITY_QUAD
+    zeros = coeffs.spectrum.zeros
+    derivs = coeffs.spectrum.lambda_prime_at_zeros
+
+    def recip_jump(eta):    # 1/lam_plus - 1/lam_minus, cancellation-free
+        lp, lm = boundary_arrays(eta, p)
+        return -2j * SQRT_PI * p.a * eta**3 * np.exp(-eta * eta) / (lp * lm)
+
+    target = coeffs.e_s / (p.a * p.z0)
+    cont = integrate_semi_infinite(lambda e: _continuum_weight(e, coeffs, p),
+                                   spec, scale=2.0)
+    e0 = (sum(coeffs.discrete_weights) + cont) / SQRT_PI
+    jump = integrate_semi_infinite(recip_jump, spec, scale=2.0)
+    J = -sum(1.0 / d for d in derivs) + jump / (2j * math.pi)
+    J_target = target / coeffs.C1
+    folded = integrate_semi_infinite(
+        lambda e: recip_jump(e) * 2.0 * e / (e * e - z * z), spec, scale=2.0)
+    rhs = folded / (2j * math.pi) - sum(
+        2.0 * eta / ((eta * eta - z * z) * d) for eta, d in zip(zeros, derivs))
+    lhs = 1.0 / lam(z, p)
+    return {
+        "field_normalization": abs(e0 - target) / abs(target),
+        "coefficient_constant": abs(J - J_target) / abs(J_target),
+        "resolvent": abs(lhs - rhs) / abs(lhs),
+    }
+
+
+class TestIdentityResiduals:
+    """The one-pass vector quadrature against three separate ones."""
+
+    @pytest.fixture(scope="class")
+    def points(self, panel):
+        p = make_params(0.1, 0.1, 0.5)     # N = 4
+        return list(panel) + [(p, compute_coefficients(p))]
+
+    def test_matches_separate_quadratures(self, points):
+        for p, coeffs in points:
+            res = identity_residuals(coeffs, p)
+            ref = _separate_identities(coeffs, p)
+            assert res.keys() == ref.keys()
+            for name in ref:
+                assert abs(res[name] - ref[name]) < 1e-12, (p.gamma, name)
+
+    def test_views_are_entries(self, points):
+        for p, coeffs in points:
+            res = identity_residuals(coeffs, p)
+            assert residual_field_normalization(coeffs, p) == res["field_normalization"]
+            assert residual_coefficient_constant(coeffs, p) == res["coefficient_constant"]
+            assert check_residue_identity(2j, coeffs, p) == res["resolvent"]

@@ -7,6 +7,7 @@ from plasmaskin import (
     BoundaryProximityError,
     ContourZeroError,
     DomainError,
+    NewtonError,
     compute_J,
     count_zeros,
     find_zeros,
@@ -16,7 +17,7 @@ from plasmaskin import (
     lam_prime,
     make_params,
 )
-from plasmaskin import spectrum
+from plasmaskin import numerics, spectrum
 from plasmaskin.dispersion import lam_many
 from plasmaskin.spectrum import Region, strip_winding
 
@@ -197,6 +198,43 @@ class TestFindZeros:
     def test_rejects_bad_count(self, base_params):
         with pytest.raises(DomainError):
             find_zeros(base_params, 3)
+
+
+class TestPolishFailure:
+    """A failed Newton polish is "no root here": the search splits further."""
+
+    POINTS = ((1e-3, 1e-3, 1e-3), (0.1, 0.1, 0.5))
+
+    @staticmethod
+    def fail_first(monkeypatch, module, name, exc):
+        real = getattr(module, name)
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise exc("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, patched)
+        return calls
+
+    @pytest.mark.parametrize("point", POINTS)
+    @pytest.mark.parametrize("module, name, exc", [
+        (numerics, "newton_refine", NewtonError),
+        (spectrum, "lam", DomainError),    # raised inside the Newton loop
+    ])
+    def test_same_zeros_after_a_failed_polish(self, monkeypatch, point,
+                                              module, name, exc):
+        p = make_params(*point)
+        n = count_zeros(p)
+        ref = find_zeros(p, n)
+        calls = self.fail_first(monkeypatch, module, name, exc)
+        info = find_zeros(p, n)
+        assert len(calls) > 1
+        assert len(info.zeros) == len(ref.zeros)
+        for z, z_ref in zip(info.zeros, ref.zeros):
+            assert abs(z - z_ref) <= 1e-14 * abs(z_ref)
 
 
 class TestTwoPairRegion:
