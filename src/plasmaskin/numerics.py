@@ -251,28 +251,29 @@ def newton_refine(f, fprime, z0: complex, max_iter: int = 80) -> complex:
     """Newton iteration for a simple zero of an analytic f near z0.
 
     Converged once |f(z)| < 1e-14*s, with s = max(1, |f'(z)|*|z|).  After
-    a step below 5e-17*|z|, or ``max_iter`` steps, z is accepted if
-    |f(z)| < 1e-13*s.  Otherwise, and on a zero or non-finite f' or a
-    non-finite iterate, raises :class:`NewtonError` with the iterate
-    trace.  Errors raised by f or fprime propagate.
+    ``max_iter`` steps, z is accepted if |f(z)| < 1e-13*s.  Otherwise, and
+    on a non-finite f', a zero f' at an unconverged point or a non-finite
+    iterate, raises :class:`NewtonError` with the iterate trace.  Errors
+    raised by f or fprime propagate.
     """
     z = complex(z0)
     iterates = [z]
-    for _ in range(max_iter):
+    for k in range(max_iter + 1):
         fz, dz = complex(f(z)), complex(fprime(z))
-        if abs(fz) < 1e-14 * max(1.0, abs(dz) * abs(z)):
-            return z
-        if dz == 0 or not cmath.isfinite(dz):
+        if not cmath.isfinite(dz):
             raise NewtonError(f"derivative is {dz} at {z}", iterates)
-        step = fz / dz
-        z = z - step
+        s = max(1.0, abs(dz) * abs(z))
+        if abs(fz) < 1e-14 * s:
+            return z
+        if k == max_iter:
+            break
+        if dz == 0:
+            raise NewtonError(f"derivative is {dz} at {z}", iterates)
+        z = z - fz / dz
         iterates.append(z)
         if not cmath.isfinite(z):
             raise NewtonError("iterate is not finite", iterates)
-        if abs(step) < 5e-17 * abs(z):
-            break
-    fz, dz = complex(f(z)), complex(fprime(z))
-    if abs(fz) < 1e-13 * max(1.0, abs(dz) * abs(z)):
+    if abs(fz) < 1e-13 * s:
         return z
     raise NewtonError(f"no convergence within {max_iter} iterations", iterates)
 

@@ -462,11 +462,19 @@ def check_residue_identity(z: complex, coeffs: SolutionCoefficients,
 
 def residual_field_normalization(coeffs: SolutionCoefficients,
                                  p: PlasmaParams) -> float:
-    """The surface-normalization residual of :func:`identity_residuals`."""
+    """The surface-normalization residual of :func:`identity_residuals`.
+
+    Runs the full three-identity quadrature, so it costs as much as
+    :func:`identity_residuals` and raises what that raises.
+    """
     return identity_residuals(coeffs, p)["field_normalization"]
 
 
 def residual_coefficient_constant(coeffs: SolutionCoefficients,
                                   p: PlasmaParams) -> float:
-    """The reciprocal-sum residual of :func:`identity_residuals`."""
+    """The reciprocal-sum residual of :func:`identity_residuals`.
+
+    Runs the full three-identity quadrature, so it costs as much as
+    :func:`identity_residuals` and raises what that raises.
+    """
     return identity_residuals(coeffs, p)["coefficient_constant"]
