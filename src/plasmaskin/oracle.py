@@ -24,8 +24,10 @@ machinery beyond the Gaussian Hilbert-transform kernel:
   graded depth grid, with the mirror condition at the surface and a
   Dirichlet wall e(x_max) = 0 at the far side.  The wall is not
   transparent: above gamma = 1 it reflects the propagating wave, and the
-  solution drifts from e(x) with depth whatever the grid.  The transport
-  unknowns are eliminated exactly, leaving a dense system in e alone.  A
+  solution drifts from e(x) with depth whatever the grid.  Inside a block
+  of depths the transport recurrences are summed exactly, so the state
+  passed from block to block is e and h at the block ends; block LU in
+  depth order then solves the system in time linear in the grid size.  A
   Richardson estimate of the discretization error is attached to the
   returned profile.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +52,10 @@ from .specfun import SQRT_PI, gauss_hilbert_array
 
 _TAIL_REL = 1e-10
 _N_K = 256    # log-spaced wavenumbers scanned for |D| minima
-# Largest exponent a separable factor of the FD kernel may carry, and the
-# rows per kernel product (bounds its temporaries).
+# Largest exponent a generator of the FD block sums may carry, and the
+# most rows in one block of the FD solve.
 _SCALE_EXP = 300.0
-_ROW_CHUNK = 128
+_FD_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,11 @@ class OracleConfig:
     n_x: int = 240
 
     def __post_init__(self):
-        if not (self.k_max > 0 and self.x_max > 0):
-            raise DomainError("k_max and x_max must be positive")
+        if not (0 < self.k_max < math.inf and 0 < self.x_max < math.inf):
+            raise DomainError("k_max and x_max must be finite and positive")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.mu_nodes, self.n_x)):
+            raise DomainError("mu_nodes and n_x must be integers")
         if min(self.mu_nodes, self.n_x) < 8:
             raise DomainError("mu_nodes and n_x must both be >= 8")
 
@@ -161,7 +167,7 @@ def _fd_system(p: PlasmaParams, x: np.ndarray, mu_nodes: int):
 
     The unknowns are e at the nx depths, then h at velocity node i and
     depth j at index nx + i*nx + j.  This literal discretization is the
-    reference that ``_fd_solve``'s elimination is tested against.
+    reference that ``_fd_solve``'s block solve is tested against.
     """
     nodes, wts = _hermite_rule(mu_nodes)
     nx = x.size
@@ -214,40 +220,65 @@ def _fd_sparse_solve(p: PlasmaParams, x: np.ndarray, mu_nodes: int) -> np.ndarra
     return spla.spsolve(*_fd_system(p, x, mu_nodes))[:x.size].copy()
 
 
+def _fd_cuts(re_L: np.ndarray) -> list[int]:
+    """Depth cuts 0 = c_0 < c_1 < ... < c_B = n of ``_fd_solve``'s blocks.
+
+    A block spans at most _FD_BLOCK intervals, over which no node's Re L
+    moves by more than _SCALE_EXP.  No block is empty, so the cuts
+    advance even where one interval alone breaks the bound or L is not
+    finite.
+    """
+    n = re_L.shape[1] - 1
+    cuts = [0]
+    while cuts[-1] < n:
+        c = cuts[-1]
+        spread = np.max(np.abs(re_L[:, c + 1:c + 1 + _FD_BLOCK]
+                               - re_L[:, c:c + 1]), axis=0)
+        ok = spread <= _SCALE_EXP                 # False where spread is NaN
+        rows = ok.size if ok.all() else int(np.argmin(ok))
+        cuts.append(c + max(rows, 1))
+    return cuts
+
+
 def _fd_solve(p: PlasmaParams, x: np.ndarray, nodes: np.ndarray,
               wts: np.ndarray) -> np.ndarray:
     """Box-scheme solve of the coupled transport/field system; returns e.
 
-    ``nodes`` and ``wts`` are the Gauss-Hermite rule in velocity.  The
-    transport unknowns are eliminated exactly.  On the interval
-    (x_{j-1}, x_j) the box scheme for node mu reads
+    ``nodes`` and ``wts`` are the Gauss-Hermite rule in velocity, in
+    ascending order.  On the interval (x_{j-1}, x_j) the box scheme for
+    node mu reads
 
         h_j = r_j*h_{j-1} + s_j*g_j,   g_j = e_{j-1} + e_j,
         r_j = (a - z0/2)/(a + z0/2),   s_j = 1/(2*(a + z0/2)),  a = mu/d_j.
 
-    With L_k = sum_{l<=k} log r_l, a node with mu <= 0 runs backward from
-    h_N = 0, and a node with mu > 0 runs forward from its mirror value
-    h(mu, 0) = h(-mu, 0), written in its own r and s (r(-mu) = 1/r(mu)):
+    A node with mu > 0 runs forward (|r| < 1) from its mirror value
+    h(mu, 0) = h(-mu, 0); a node with mu <= 0 runs backward from
+    h(x_max) = 0 (an odd node count adds mu = 0, with r = -1).  With
+    L_k = sum_{l<=k} log r_l, across a stretch of depths c..c'
 
-        mu <= 0:  h_k = -sum_{j>k} exp(L_k - L_j)*s_j*g_j,
-        mu > 0:   h_k = sum_{j<=k} exp(L_k - L_j)*s_j*g_j
-                        + sum_j exp(L_k + L_{j-1})*s_j*g_j.
+        phi_k  = exp(L_k - L_c)*phi_c + sum_{c<j<=k} exp(L_k - L_j)*s_j*g_j,
+        beta_k = exp(L_k - L_c')*beta_c' - sum_{k<j<=c'} exp(L_k - L_j)*s_j*g_j,
 
-    Each runs in its stable direction (|r| < 1 forward, |r| >= 1
-    backward; an odd node count adds mu = 0, with r = -1).  The velocity
-    sum in the field rows is then a dense kernel acting on g, separable
-    below the diagonal (j <= k: mu > 0 nodes and the mirror term) and
-    above it (j > k: mu <= 0 nodes and the mirror term).  Its row factors
-    exp(L_k - L_ref) and column factors exp(L_ref - L_j) and
-    exp(L_ref + L_{j-1}) take their reference L_ref per block of depths,
-    so that no factor exceeds exp(_SCALE_EXP).  Summing adjacent columns
-    turns the kernel on g into one on e.  With the three-point Laplacian,
-    Q**2, e_0 = 1 and e_N = 0 (a Dirichlet wall) the (N-1)x(N-1) dense
-    system in the interior e is solved by LU.  The result equals the
-    sparse solve of ``_fd_system`` to rounding.
+    phi and beta being h at the mu > 0 and mu <= 0 nodes.  The depths are
+    cut into blocks (``_fd_cuts``).  Block K, from c = c_K to c' = c_{K+1},
+    holds e_c .. e_{c'-1}, phi_c' and beta_c, with their rows: the field
+    equations at x_c .. x_{c'-1} (three-point Laplacian, Q**2 and the
+    velocity sum of h), the forward recurrence from phi_c to phi_c' and
+    the backward one from beta_c' to beta_c.  In block 0 the row at x_0
+    is e_0 = 1 and phi_0 = P*beta_0 is the mirror; e_n = 0 (a Dirichlet
+    wall) and beta_n = 0 close the last block, whose phi_n is unused.  The
+    sums inside a block are products of the bounded generators
+    exp(L_k - L_c)*exp(L_c - L_j) (mu > 0) and exp(L_k - L_c')*exp(L_c' - L_j)
+    (mu <= 0).  A block touches the previous one only through its last e
+    and phi, and the next one only through its first e and beta, so block
+    LU in depth order (LAPACK getrf/getrs with partial pivoting inside
+    each block) and back substitution solve the system in O(n*(b + m)**2)
+    for blocks of b rows and m nodes.  The result equals the sparse solve
+    of ``_fd_system`` to rounding.
     """
     n = x.size - 1
-    a = nodes[:, None] / np.diff(x)
+    d = np.diff(x)
+    a = nodes[:, None] / d
     half_z0 = 0.5 * p.z0
     s = 0.5 / (a + half_z0)                  # s[:, j-1] = s_j
     r = (a - half_z0) * (2.0 * s)
@@ -256,56 +287,100 @@ def _fd_solve(p: PlasmaParams, x: np.ndarray, nodes: np.ndarray,
     log_r = 0.5 * np.log1p(-8.0 * p.z0.real * a * (s.real**2 + s.imag**2))
     L = np.zeros((nodes.size, n + 1), dtype=complex)
     np.cumsum(log_r + 1j * np.angle(r), axis=1, out=L[:, 1:])
+    m = nodes.size
     fwd = nodes > 0
-    bwd = ~fwd
+    mf = int(np.count_nonzero(fwd))
+    mb = m - mf
     w = (1j * p.alpha / SQRT_PI) * wts
+    wf = w[fwd, None]
+    # beta_0 column of -mu for each mu > 0 node (the mu <= 0 nodes lead).
+    mirror = m - 1 - np.flatnonzero(fwd)
 
-    # Row k - 1 is the field equation at x_k, column j' - 1 is e_{j'}.
-    A = np.zeros((n - 1, n - 1), dtype=complex)
-    rhs = np.empty(n - 1, dtype=complex)
-    re_L = L.real
-    k0 = 1
-    while k0 < n:
-        spread = np.max(np.abs(re_L[:, k0:n] - re_L[:, k0:k0 + 1]), axis=0)
-        k1 = k0 + int(np.searchsorted(spread, _SCALE_EXP, "right"))
-        ref = L[:, k0:k0 + 1]
-        U = (w[:, None] * np.exp(L[:, k0:k1] - ref)).T      # rows k0..k1-1
-        mirror = s[fwd] * np.exp(ref[fwd] + L[fwd, :n])
-        # Column factors in g: below the diagonal j = 1..k1-1 (mu > 0
-        # nodes only), above it j = k0+1..N (all nodes).
-        Vlo = (s[fwd, :k1 - 1] * np.exp(ref[fwd] - L[fwd, 1:k1])
-               + mirror[:, :k1 - 1])
-        Vup = np.empty((nodes.size, n - k0), dtype=complex)
-        Vup[fwd] = mirror[:, k0:]
-        Vup[bwd] = -s[bwd, k0:] * np.exp(ref[bwd] - L[bwd, k0 + 1:])
-        # The same in e: e_{j'} enters g_{j'} and g_{j'+1}.
-        Wlo = Vlo[:, :-1] + Vlo[:, 1:]
-        Wup = Vup[:, :-1] + Vup[:, 1:]
-        for r0 in range(k0, k1, _ROW_CHUNK):
-            r1 = min(r0 + _ROW_CHUNK, k1)
-            rows = slice(r0 - 1, r1 - 1)
-            lo, up = U[r0 - k0:r1 - k0, fwd], U[r0 - k0:r1 - k0]
-            A[rows, :r1 - 2] += np.tril(lo @ Wlo[:, :r1 - 2], r0 - 2)
-            A[rows, r0:] += np.triu(up @ Wup[:, r0 - k0:])
-            # e_k itself: g_k from below, g_{k+1} from above.
-            A.flat[(r0 - 1) * n:(r1 - 1) * n:n] += (
-                np.einsum("km,mk->k", lo, Vlo[:, r0 - 1:r1 - 1])
-                + np.einsum("km,mk->k", up, Vup[:, r0 - k0:r1 - k0]))
-            rhs[rows] = -(lo @ Vlo[:, 0])                  # e_0 = 1 in g_1
-        k0 = k1
+    cuts = _fd_cuts(L.real)
+    sizes = np.diff(cuts)
+    lo = np.repeat(cuts[:-1], sizes)   # c of the block of row k, interval k+1
+    hi = np.repeat(cuts[1:], sizes)    # c' of the same block
+    Lf, Lb = L[fwd], L[~fwd]
+    F = np.exp(Lf[:, 1:] - Lf[:, lo])             # F[:, j-1] = exp(L_j - L_c)
+    G = s[fwd] * np.exp(Lf[:, lo] - Lf[:, 1:])    # exp(L_c - L_j)*s_j
+    R = np.exp(Lb[:, :n] - Lb[:, hi])             # R[:, k] = exp(L_k - L_c')
+    H = s[~fwd] * np.exp(Lb[:, hi] - Lb[:, 1:])   # exp(L_c' - L_j)*s_j
+    wR = w[~fwd, None] * R
+    # Three-point Laplacian of the field row at x_k (none at x_0).
+    dm, dp = d[:-1], d[1:]
+    lap_lo = np.r_[0.0, 2.0 / (dm * (dm + dp))]
+    lap_up = np.r_[0.0, 2.0 / (dp * (dm + dp))]
+    lap_di = np.r_[0.0, p.Q**2 - 2.0 / (dm * dp)]
 
-    dm = x[1:n] - x[:n - 1]
-    dp = x[2:] - x[1:n]
-    A.flat[::n] += -2.0 / (dm * dp) + p.Q**2
-    A.flat[1::n] += 2.0 / (dp[:-1] * (dm[:-1] + dp[:-1]))
-    A.flat[n - 1::n] += 2.0 / (dm[1:] * (dm[1:] + dp[1:]))
-    rhs[0] -= 2.0 / (dm[0] * (dm[0] + dp[0]))
+    # A block's unknowns are e_c .. e_{c'-1}, phi_c' and beta_c, its rows
+    # in the same order (e first: partial pivoting is then as accurate as
+    # the sparse solve).  B holds its columns on the next block's e_c' and
+    # beta_c', then the right-hand side; after the block's solve
+    # T = A^-1 B, ``coupled`` keeps T's rows at e_{c'-1} and phi_c'.  A is
+    # Fortran-ordered so LAPACK factors it in place, and ``flat`` steps
+    # along its diagonals.
+    below = np.tri(int(sizes.max()), k=-1, dtype=bool)
+    blocks = []
+    coupled = None
+    for c, c1 in zip(cuts[:-1], cuts[1:]):
+        b = c1 - c
+        size = b + m
+        step = size + 1
+        ib = b + mf                  # first beta row
+        Fr = np.ones((mf, b + 1), dtype=complex)  # exp(L_k - L_c), k = c..c'
+        Fr[:, 1:] = F[:, c:c1]
+        wFr = (wf * Fr[:, :b]).T
+        wRb = wR[:, c:c1].T
+        Gb, Hb = G[:, c:c1], H[:, c:c1]
+        A = np.zeros((size, size), dtype=complex, order="F")
+        flat = A.reshape(-1, order="F")
+        # Coefficients on g_{c+1} .. g_{c'}; g_j = e_{j-1} + e_j puts
+        # column j - c - 1 on e_{j-1} and e_j.
+        Mg = A[:, :b]
+        Mg[:b] = np.where(below[:b, :b], wFr @ Gb, -(wRb @ Hb))
+        Mg[b:ib] = -(Fr[:, b:] * Gb)
+        Mg[ib:] = R[:, c:c + 1] * Hb
+        B = np.zeros((size, mb + 2), dtype=complex, order="F")
+        B[:, 0] = Mg[:, -1]
+        Mg[:, 1:] += Mg[:, :-1]
+        flat[:b * step:step] += lap_di[c:c1]
+        flat[1:(b - 1) * step:step] += lap_lo[c + 1:c1]
+        flat[size:size + (b - 1) * step:step] += lap_up[c:c1 - 1]
+        flat[b * step::step] = 1.0              # phi_c' and beta_c
+        B[b - 1, 0] += lap_up[c1 - 1]
+        B[:b, 1:-1] = wRb
+        np.fill_diagonal(B[ib:, 1:-1], -R[:, c])
+        if c:
+            # The previous block's e_{c-1} and phi_c, folded in through
+            # its solution.
+            P = np.zeros((size, mf + 1), dtype=complex)
+            P[0, 0] = lap_lo[c]
+            P[:b, 1:] = wFr
+            np.fill_diagonal(P[b:ib, 1:], -Fr[:, b])
+            X = P @ coupled
+            A[:, 0] -= X[:, 0]
+            A[:, ib:] -= X[:, 1:-1]
+            B[:, -1] -= X[:, -1]
+        else:
+            A[:b, ib + mirror] += wFr
+            A[np.arange(b, ib), ib + mirror] -= Fr[:, b]
+            A[0] = 0.0
+            A[0, 0] = 1.0
+            B[0] = 0.0
+            B[0, -1] = 1.0
+        lu, piv, _ = sla.lapack.zgetrf(A, overwrite_a=True)
+        T, _ = sla.lapack.zgetrs(lu, piv, B, overwrite_b=True)
+        coupled = T[b - 1:ib]
+        blocks.append((c, b, T))
+
+    # Back substitution; e_n = 0 and beta_n = 0 past the last block.
     e = np.zeros(n + 1, dtype=complex)
+    beta = np.zeros(mb, dtype=complex)
+    for c, b, T in reversed(blocks):
+        sol = T[:, -1] - T[:, 0] * e[c + b] - T[:, 1:-1] @ beta
+        e[c:c + b] = sol[:b]
+        beta = sol[b + mf:]
     e[0] = 1.0
-    # A.T is Fortran-ordered, so LAPACK factors it in place; trans=1 then
-    # solves with A itself.  (scipy.linalg.solve copies and checks, 2x slower.)
-    lu = sla.lu_factor(A.T, overwrite_a=True, check_finite=False)
-    e[1:n] = sla.lu_solve(lu, rhs, trans=1, check_finite=False)
     return e
 
 

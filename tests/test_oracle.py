@@ -17,6 +17,7 @@ from plasmaskin import oracle
 from plasmaskin.oracle import (
     _N_K,
     _denominator,
+    _fd_cuts,
     _fd_solve,
     _fd_sparse_solve,
     _fd_system,
@@ -25,6 +26,7 @@ from plasmaskin.oracle import (
     field_wavenumber,
     response_kernel,
 )
+from plasmaskin.errors import DomainError
 from plasmaskin.specfun import SQRT_PI
 from plasmaskin.solution import e_prime_at_surface
 
@@ -158,9 +160,32 @@ class TestStructuredFdSolve:
 
     @pytest.mark.parametrize("point", [
         (0.01, 1e-3, 1e-3), (0.5, 1e-3, 1e-3), (1.3, 1e-3, 1e-3),
-        (2.0, 1e-3, 1e-3), (0.01, 0.1, 0.01), (1.0, 1e-4, 0.3)])
+        (2.0, 1e-3, 1e-3), (0.01, 0.1, 0.01), (1.0, 1e-4, 0.3),
+        (0.95, 1e-4, 0.3), (1.3, 1e-2, 0.3), (0.1, 0.1, 0.5),
+        (1.2861, 1e-4, 1e-3)])
     def test_matches_sparse_reference(self, point):
         self._check(point, 60.0, 240, 32)
+
+    def test_fine_grid(self):
+        # 960 and 1919 depths: the sizes the block solve exists for.
+        self._check((1.3, 1e-3, 1e-3), 60.0, 960, 32)
+
+    def test_many_short_blocks(self, monkeypatch):
+        # A tiny exponent bound makes the spread guard cut the default
+        # grids into short blocks, down to single rows.
+        monkeypatch.setattr(oracle, "_SCALE_EXP", 1e-3)
+        cuts = []
+        real = oracle._fd_cuts
+
+        def spy(re_L):
+            cuts.append(real(re_L))
+            return cuts[-1]
+
+        monkeypatch.setattr(oracle, "_fd_cuts", spy)
+        self._check((0.5, 1e-3, 1e-3), 60.0, 240, 32)
+        for c in cuts:
+            sizes = np.diff(c)
+            assert sizes.min() == 1 and sizes.max() > 1 and sizes.size > 100
 
     @pytest.mark.parametrize("mu_nodes", [9, 33])
     def test_odd_node_count_with_mu_zero(self, mu_nodes):
@@ -196,6 +221,36 @@ def test_config_validation():
         OracleConfig(k_max=-1.0)
     with pytest.raises(Exception):
         OracleConfig(k_max=10.0, n_x=4)
+    # Non-finite lengths and non-integer counts are rejected up front.
+    with pytest.raises(DomainError):
+        OracleConfig(k_max=math.inf)
+    with pytest.raises(DomainError):
+        OracleConfig(k_max=100.0, x_max=math.inf)
+    with pytest.raises(DomainError):
+        OracleConfig(k_max=100.0, x_max=math.nan)
+    with pytest.raises(DomainError):
+        OracleConfig(k_max=100.0, n_x=100.5)
+    with pytest.raises(DomainError):
+        OracleConfig(k_max=100.0, mu_nodes=True)
+    assert OracleConfig(k_max=100.0, n_x=np.int64(100)).n_x == 100
+
+
+def test_fd_cuts_advance():
+    re_L = np.cumsum(np.full((4, 200), -0.5), axis=1)
+    cuts = _fd_cuts(re_L)
+    assert cuts[0] == 0 and cuts[-1] == 199
+    assert all(0 < b - a <= oracle._FD_BLOCK for a, b in zip(cuts, cuts[1:]))
+    # NaN spreads fail the bound: the cuts still advance, one row at a time.
+    re_L[:, 50:] = np.nan
+    cuts = _fd_cuts(re_L)
+    assert cuts[-1] == 199 and np.all(np.diff(cuts) >= 1)
+    assert cuts[-150:] == list(range(50, 200))
+    # The same through the solve: a NaN depth gives NaNs, not a hang.
+    x = _graded_grid(60.0, 40)
+    x[10:] = np.nan
+    with np.errstate(invalid="ignore"):
+        e = _fd_solve(make_params(0.5, 1e-3, 1e-3), x, *oracle._hermite_rule(32))
+    assert not np.all(np.isfinite(e))
 
 
 def _fd_system_loop(p, x, mu_nodes):
