@@ -2,17 +2,18 @@
 complex Newton refinement, and winding numbers along closed paths.
 
 The quadrature core is an adaptive Gauss-Kronrod 7-15 rule operating on
-complex-valued integrands.  Integrands must accept an ndarray of
-abscissae and return an ndarray of values; every routine here is
-deterministic (bit-identical output for identical input) and free of
-global state.
+complex-valued integrands.  It refines in rounds: each round bisects
+every panel the round needs and evaluates all their nodes in one
+integrand call, after the batched interface of S. G. Johnson's
+``cubature`` (``hcubature_v``); the panels live in flat arrays.
+Integrands must accept an ndarray of abscissae and return an ndarray of
+values; every routine here is deterministic (bit-identical output for
+identical input) and free of global state.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,9 +48,12 @@ _WG = np.array([
     0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
     0.1294849661688697,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# Rows: the Kronrod weights, and their difference from the Gauss weights
+# (the Gauss nodes are the odd Kronrod ones).
+_RULE = np.stack([_WGK, _WGK - np.insert(_WG, np.arange(8), 0.0)])
 _TINY = np.finfo(float).tiny    # tolerance floor: keeps err/tol finite
 _MAX_PASSES = 48                # winding refinement passes before giving up
+_CALL_VALUES = 1 << 20          # nodes x components one quadrature call may see
 
 
 @dataclass(frozen=True)
@@ -85,24 +89,40 @@ class PathSegment:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def _panel(f, a: float, b: float):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fv = np.asarray(f(c + h * _XGK), dtype=np.complex128)
+def _gauss_kronrod(f, lo, hi):
+    """Kronrod-15 estimates and |K15 - G7| error bounds of panels [lo, hi].
+
+    f is called once, on the 15 nodes of every panel in node-major order.
+    Returns the estimates and bounds, each of shape (panels, m) with
+    m = 1 for a scalar integrand, and whether the integrand is a vector.
+    """
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi) + _XGK[:, None] * h).ravel()
+    fv = np.asarray(f(x), dtype=np.complex128)
     if fv.ndim == 0:   # a constant integrand
-        fv = np.broadcast_to(fv, _XGK.shape)
-    ik = h * np.dot(_WGK, fv)
-    ig = h * np.dot(_WG, fv[_GAUSS_IDX])
-    return ik, abs(ik - ig)
+        fv = np.full(x.size, fv)
+    r = np.dot(_RULE, np.ascontiguousarray(fv).view(float).reshape(15, -1))
+    r = (r.reshape(2, h.size, -1) * h[:, None]).view(complex)
+    return r[0], np.abs(r[1]), fv.ndim > 1
 
 
-def _fsum(values):
-    """Correctly rounded sum of per-panel values, component by component."""
-    rows = np.array(values)
-    cols = rows.reshape(len(values), -1).T
-    total = np.array([complex(math.fsum(c.real), math.fsum(c.imag))
-                      for c in cols]).reshape(rows.shape[1:])
-    return total if np.iscomplexobj(rows) else total.real
+def _fsum(a):
+    """Correctly rounded column sums of a real (panels, m) array."""
+    return np.array([math.fsum(c.tolist()) for c in a.T])
+
+
+def _fewest_covering(err, order, excess, rows):
+    """The shortest prefix of ``order`` whose rows of ``err`` sum to at
+    least ``excess`` in every column, or all of ``order``; the rows are
+    summed ``rows`` at a time."""
+    for s in range(0, order.size, rows):
+        cum = np.add.accumulate(err[order[s:s + rows]])
+        # The partial sums grow down the rows: the short ones lead.
+        short = np.count_nonzero(np.logical_or.reduce(cum < excess, 1))
+        if short < len(cum):
+            return order[:s + short + 1]
+        excess = excess - cum[-1]
+    return order
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -116,81 +136,90 @@ def integrate_finite(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
     is at most max(rel_tol*|offset + integral|, abs_tol): ``offset``
     (scalar or one value per component) is the amount the caller adds to
     the integral, so the tolerance is relative to the quantity returned.
-    The panel with the largest error relative to its component's
-    tolerance is split next, and the budget is ``max_subdivisions`` per
-    component.
 
-    The estimate and error bound are running totals; before returning
-    they are re-summed exactly (``math.fsum``) and the test repeated.
-    ``breakpoints`` seeds the initial subdivision (useful for known
-    near-singular spots).  Raises :class:`QuadratureError` carrying the
-    best estimate and its bound when the budget is exhausted.
+    Refinement runs in rounds.  A round orders the panels by the largest
+    of their errors relative to the component tolerances (a stable sort),
+    bisects the fewest of them whose errors cover every component's
+    excess over its tolerance, and evaluates all the new nodes with one
+    call of ``f``: a left half takes its parent's slot in the panel
+    arrays, a right half is appended.  No call sees more than
+    ``_CALL_VALUES`` nodes x components (the first call, on one panel,
+    shows m); a round that needs more makes several calls.  The budget
+    is ``max_subdivisions`` bisections per component.
+
+    Each round sums the panels afresh; before returning, the estimate
+    and error bound are re-summed exactly (``math.fsum``) and the test
+    repeated.  ``breakpoints`` seeds the initial subdivision (useful for
+    known near-singular spots).  Raises :class:`QuadratureError` carrying
+    the best estimate and its bound when the budget is exhausted or an
+    error bound is not finite.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not b > a:
         raise DomainError("need finite a < b")
-    pts = [a, b]
-    for x in breakpoints:
-        x = float(x)
-        if a < x < b:
-            pts.append(x)
-    pts = sorted(set(pts))
+    pts = np.array(sorted({a, b, *(x for x in map(float, breakpoints)
+                                   if a < x < b)}))
+    lo, hi = pts[:-1].copy(), pts[1:].copy()
+    n = lo.size
 
-    panels = [(lo, hi) + _panel(f, lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
-    total = sum(p[2] for p in panels)
-    toterr = sum(p[3] for p in panels)
-    vector = np.ndim(total) > 0
+    e, r, vector = _gauss_kronrod(f, lo[:1], hi[:1])
+    m = e.shape[1]
+    per_call = max(1, _CALL_VALUES // (15 * m))
+    rows = max(1, _CALL_VALUES // m)
+    est, err = np.empty((n, m), dtype=complex), np.empty((n, m))
+    est[:1], err[:1] = e, r
+
+    def evaluate(idx):
+        """Kronrod estimates and error bounds of the panels idx, in place."""
+        for s in range(0, idx.size, per_call):
+            i = idx[s:s + per_call]
+            est[i], err[i], _ = _gauss_kronrod(f, lo[i], hi[i])
+
+    def fail(message):
+        return QuadratureError(
+            message, estimate=total if vector else complex(total[0]),
+            error_bound=toterr if vector else float(toterr[0]))
+
+    evaluate(np.arange(1, n))
     floor = max(spec.abs_tol, _TINY)
-
-    def tolerance(total):
-        return np.maximum(spec.rel_tol * abs(offset + total), floor)
-
-    # A panel's key is its largest error relative to key_tol, the
-    # component tolerances; the heap is re-keyed whenever one of them
-    # drifts by more than a factor of 2.  A scalar integrand's order is
-    # by error alone.
-    key_tol = tolerance(total) if vector else 1.0
-
-    def key(err):
-        return -float(np.max(err / key_tol)) if vector else -float(err)
-
-    counter = itertools.count()
-    heap = [(key(err), next(counter), lo, hi, ik, err)
-            for lo, hi, ik, err in panels]
-    heapq.heapify(heap)
-
-    budget = spec.max_subdivisions * np.size(total)
+    budget = spec.max_subdivisions * m
     nsplit = 0
     while True:
-        tol = tolerance(total)
-        if np.all(toterr <= tol) or nsplit >= budget:
-            total = _fsum([item[4] for item in heap])
-            toterr = _fsum([item[5] for item in heap])
-            if np.all(toterr <= tolerance(total)):
-                return total if vector else complex(total)
+        total, toterr = np.add.reduce(est), np.add.reduce(err)
+        if not np.isfinite(toterr).all():
+            raise fail(f"error bound is not finite after {nsplit} subdivisions")
+        tol = np.maximum(spec.rel_tol * abs(offset + total), floor)
+        excess = toterr - tol
+        if (excess <= 0.0).all() or nsplit >= budget:
+            total, toterr = _fsum(est.view(float)).view(complex), _fsum(err)
+            tol = np.maximum(spec.rel_tol * abs(offset + total), floor)
+            if (toterr <= tol).all():
+                return total if vector else complex(total[0])
             if nsplit >= budget:
-                raise QuadratureError(
-                    f"quadrature did not converge after {nsplit} subdivisions "
-                    f"(error bound {np.max(toterr):.3e})",
-                    estimate=total if vector else complex(total),
-                    error_bound=toterr if vector else float(toterr))
-        if vector and np.any((tol < 0.5 * key_tol) | (tol > 2.0 * key_tol)):
-            key_tol = tol
-            heap = [(key(item[5]),) + item[1:] for item in heap]
-            heapq.heapify(heap)
-        _, _, lo, hi, ik, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(
-                "interval collapsed below machine resolution",
-                estimate=total, error_bound=toterr)
-        total = total - ik
-        toterr = toterr - err
-        for seg in ((lo, mid), (mid, hi)):
-            ik, err = _panel(f, *seg)
-            total = total + ik
-            toterr = toterr + err
-            heapq.heappush(heap, (key(err), next(counter), seg[0], seg[1], ik, err))
-        nsplit += 1
+                raise fail(f"quadrature did not converge after {nsplit} "
+                           f"subdivisions (error bound {toterr.max():.3e})")
+            excess = toterr - tol
+        # Keys and partial sums take ``rows`` panels at a time, so that no
+        # temporary holds more than _CALL_VALUES values either.
+        key = np.concatenate([np.maximum.reduce(err[s:s + rows] / tol, 1)
+                              for s in range(0, n, rows)])
+        order = (-key).argsort(kind="stable")[:budget - nsplit]
+        sel = _fewest_covering(err, order, excess, rows)
+        left, right = lo[sel], hi[sel]
+        mid = 0.5 * (left + right)
+        if ((mid <= left) | (mid >= right)).any():
+            raise fail("interval collapsed below machine resolution")
+        # Left halves keep their parent's slot, right halves are appended.
+        # The arrays grow in place (realloc): no second full copy is held.
+        k = sel.size
+        lo.resize(n + k, refcheck=False)
+        hi.resize(n + k, refcheck=False)
+        est.resize((n + k, m), refcheck=False)
+        err.resize((n + k, m), refcheck=False)
+        lo[n:], hi[n:] = mid, right
+        hi[sel] = mid
+        evaluate(np.concatenate([sel, np.arange(n, n + k)]))
+        n += k
+        nsplit += k
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = DEFAULT_QUAD, *,
@@ -227,10 +256,10 @@ def integrate_principal_value(g, pole: float, a: float, b: float,
     """
     if not (a < pole < b):
         raise DomainError("pole must lie strictly inside (a, b)")
-    gp = complex(np.asarray(g(np.array([pole])), dtype=np.complex128)[0])
     dx = 1e-7 * (b - a)
-    gprime = (np.asarray(g(np.array([pole + dx])))[0]
-              - np.asarray(g(np.array([pole - dx])))[0]) / (2.0 * dx)
+    at = np.asarray(g(np.array([pole, pole + dx, pole - dx])))
+    gp = complex(at[0])
+    gprime = (at[1] - at[2]) / (2.0 * dx)
 
     def reg(x):
         x = np.asarray(x)

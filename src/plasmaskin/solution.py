@@ -154,12 +154,21 @@ def _imag_axis_integrand(ps):
     return f
 
 
-def _spike_breakpoints(p: PlasmaParams, scale: float) -> np.ndarray:
-    """tau positions where |lam(i*tau)| has sharp minima (near-zeros)."""
-    taus = np.geomspace(1e-3 * scale, 1e3 * scale, 600)
-    mods = np.abs(lam_imag_axis(taus, p))
-    mid = mods[1:-1]
-    return taus[1:-1][(mid < mods[:-2]) & (mid < mods[2:]) & (mid < 0.5)]
+def _spike_breakpoints(ps, scales) -> np.ndarray:
+    """tau positions where |lam(i*tau)| has sharp minima (near-zeros).
+
+    Each point of ``ps`` is scanned on its own geometric grid around its
+    scale; one evaluation of tau**2*lambda0(i*tau) serves every grid, as
+    lam(i*tau) is affine in (a, b).  The minima of all points come back
+    in one array, point by point.
+    """
+    taus = np.geomspace(1e-3 * np.asarray(scales), 1e3 * np.asarray(scales),
+                        600, axis=-1)
+    a = np.array([[p.a] for p in ps])
+    b_minus_a = np.array([[p.b - p.a] for p in ps])
+    mods = np.abs(1.0 - b_minus_a * (taus * taus) - a * _tau2_lambda0(taus))
+    mid = mods[:, 1:-1]
+    return taus[:, 1:-1][(mid < mods[:, :-2]) & (mid < mods[:, 2:]) & (mid < 0.5)]
 
 
 def compute_J_many(ps, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
@@ -179,7 +188,7 @@ def compute_J_many(ps, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     if not ps:
         raise DomainError("need at least one parameter point")
     scales = [max(1.0, zero_scale_estimate(p)) for p in ps]
-    bps = np.concatenate([_spike_breakpoints(p, s) for p, s in zip(ps, scales)])
+    bps = _spike_breakpoints(ps, scales)
     val = integrate_semi_infinite(_imag_axis_integrand(ps), spec,
                                   scale=statistics.median_low(scales),
                                   breakpoints=bps)
@@ -206,7 +215,7 @@ def compute_J(p: PlasmaParams, spec: QuadratureSpec = DEFAULT_QUAD, *,
             return 1.0 / vals
     else:
         raise DomainError(f"unknown path {path!r}")
-    bps = _spike_breakpoints(p, scale)
+    bps = _spike_breakpoints([p], [scale])
     val = integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps)
     return val / math.pi
 
@@ -393,7 +402,7 @@ def impedance_reduced_form(p: PlasmaParams, *, c_light: float = 1.0,
         return w3 / denom
 
     scale = max(1.0, zero_scale_estimate(p))
-    bps = _spike_breakpoints(p, scale)
+    bps = _spike_breakpoints([p], [scale])
     J = integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps) / math.pi
     return _assemble_impedance(p, J, c_light)
 

@@ -1,5 +1,7 @@
 """Quadrature, principal values, Newton, and winding numbers."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +21,15 @@ from plasmaskin import (
     newton_refine,
     winding_number,
 )
-from plasmaskin.numerics import _sample_path, rectangle_path
+from plasmaskin import numerics
+from plasmaskin.numerics import (
+    _CALL_VALUES,
+    _WG,
+    _WGK,
+    _XGK,
+    _sample_path,
+    rectangle_path,
+)
 
 TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4000)
 
@@ -152,6 +162,157 @@ class TestOutputRelativeTolerance:
         assert val[1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
 
 
+def _heap_integrate(f, a, b, spec, breakpoints=(), offset=0.0):
+    """The one-panel-at-a-time engine the rounds replaced (the reference).
+
+    A heap of panels keyed by their largest error relative to the
+    component tolerances, re-keyed when a tolerance drifts by 2x; each
+    split makes two integrand calls.  Returns (integral, panels).
+    """
+    def panel(lo, hi):
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fv = np.asarray(f(c + h * _XGK), dtype=np.complex128)
+        ik = h * np.dot(_WGK, fv)
+        return ik, abs(ik - h * np.dot(_WG, fv[1::2]))
+
+    pts = sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    panels = [(lo, hi) + panel(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+    count = len(panels)
+    total = sum(p[2] for p in panels)
+    toterr = sum(p[3] for p in panels)
+    vector = np.ndim(total) > 0
+
+    def tolerance(total):
+        return np.maximum(spec.rel_tol * abs(offset + total),
+                          max(spec.abs_tol, np.finfo(float).tiny))
+
+    key_tol = tolerance(total) if vector else 1.0
+
+    def key(err):
+        return -float(np.max(err / key_tol)) if vector else -float(err)
+
+    counter = itertools.count()
+    heap = [(key(e), next(counter), lo, hi, ik, e) for lo, hi, ik, e in panels]
+    heapq.heapify(heap)
+    for _ in range(spec.max_subdivisions * np.size(total)):
+        tol = tolerance(total)
+        if np.all(toterr <= tol):
+            break
+        if vector and np.any((tol < 0.5 * key_tol) | (tol > 2.0 * key_tol)):
+            key_tol = tol
+            heap = [(key(item[5]),) + item[1:] for item in heap]
+            heapq.heapify(heap)
+        _, _, lo, hi, ik, e = heapq.heappop(heap)
+        total, toterr = total - ik, toterr - e
+        for seg in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
+            ik, e = panel(*seg)
+            total, toterr = total + ik, toterr + e
+            heapq.heappush(heap, (key(e), next(counter)) + seg + (ik, e))
+            count += 1
+    return total, count
+
+
+def _spy(f):
+    """f plus the list of the number of abscissae of each call."""
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+    return g, sizes
+
+
+def _wiggle(x):
+    return 1e-12 * np.sin(2000.0 * np.asarray(x))
+
+
+_ENGINE_CASES = {
+    "scalar": (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 5.0, TIGHT, (), 0.0),
+    "breakpoint": (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, TIGHT,
+                   (0.3,), 0.0),
+    "vector": (_three, 0.0, 5.0, TIGHT, (1.0,), 0.0),
+    "offset": (_wiggle, 0.0, 1.0,
+               QuadratureSpec(rel_tol=1e-9, abs_tol=0.0, max_subdivisions=50),
+               (), 1.0),
+    "component offset": (lambda x: np.stack([_wiggle(x), 1.0 / (1e-3 + x)],
+                                            axis=-1),
+                         0.0, 1.0, QuadratureSpec(rel_tol=1e-10), (0.5,),
+                         np.array([1.0, 0.0])),
+}
+
+
+class TestRounds:
+    """The batched rounds against the one-panel-at-a-time reference."""
+
+    @pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+    def test_agrees_with_reference(self, case):
+        f, a, b, spec, bps, offset = _ENGINE_CASES[case]
+        ref, ref_panels = _heap_integrate(f, a, b, spec, bps, offset)
+        g, sizes = _spy(f)
+        val = integrate_finite(g, a, b, spec, breakpoints=bps, offset=offset)
+        tol = np.maximum(spec.rel_tol * np.abs(offset + ref), spec.abs_tol)
+        assert np.all(np.abs(val - ref) <= 2.0 * tol)
+        assert sum(sizes) % 15 == 0
+        assert sum(sizes) // 15 <= 1.1 * ref_panels
+        # A call per round, not one per panel.
+        assert len(sizes) <= ref_panels
+
+    @pytest.mark.parametrize("max_subdivisions", [1, 2, 7])
+    def test_budget_is_never_exceeded(self, max_subdivisions):
+        spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=max_subdivisions)
+        g, sizes = _spy(_three)
+        with pytest.raises(QuadratureError) as err:
+            integrate_finite(g, 0.0, 40.0, spec, breakpoints=(1.0, 2.0))
+        assert sum(sizes) <= 15 * (3 + 2 * max_subdivisions * 3)
+        assert f"after {max_subdivisions * 3} subdivisions" in str(err.value)
+        est, bound = err.value.estimate, err.value.error_bound
+        assert est.shape == bound.shape == (3,)
+        assert np.all(bound > 0.0)
+        assert est == pytest.approx([1.0, math.atan(40.0), 0.1], abs=1e-3)
+
+    def test_no_call_exceeds_the_node_cap(self):
+        # 200 components, 400 initial panels and rounds of hundreds of
+        # bisections: every call stays within the cap, which binds.
+        k = np.arange(1.0, 201.0)
+
+        def f(x):
+            return np.exp(1j * np.outer(x, k))
+
+        g, sizes = _spy(f)
+        spec = QuadratureSpec(rel_tol=1e-10)
+        val = integrate_finite(g, 0.0, 4.0, spec,
+                               breakpoints=np.linspace(0.0, 1.0, 400))
+        assert max(sizes) * k.size <= _CALL_VALUES
+        assert max(sizes) * k.size > _CALL_VALUES // 2
+        exact = (np.exp(4j * k) - 1.0) / (1j * k)
+        assert np.all(np.abs(val - exact) <= 1e-10 * np.abs(exact))
+        again = integrate_finite(f, 0.0, 4.0, spec,
+                                 breakpoints=np.linspace(0.0, 1.0, 400))
+        assert np.array_equal(val, again)
+
+    def test_interval_collapse(self):
+        # One ulp wide and never converged: the first bisection collapses.
+        def f(x):
+            return np.arange(np.size(x)) % 2.0
+
+        with pytest.raises(QuadratureError, match="collapsed") as err:
+            integrate_finite(f, 1.0, np.nextafter(1.0, 2.0),
+                             QuadratureSpec(rel_tol=1e-13))
+        assert isinstance(err.value.estimate, complex)
+        assert err.value.error_bound > 0.0
+
+    def test_non_finite_error_bound_raises_at_once(self):
+        # The centre node of [0.25, 0.75] is the pole.
+        def f(x):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (x - 0.5)
+
+        g, sizes = _spy(f)
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_finite(g, 0.0, 1.0, breakpoints=(0.25, 0.75))
+        assert len(sizes) == 2   # the initial panels only
+
+
 class TestPrincipalValue:
     def test_constant_numerator_symmetric(self):
         val = integrate_principal_value(lambda x: np.ones_like(x), 0.0, -1.0, 1.0, TIGHT)
@@ -177,6 +338,32 @@ class TestPrincipalValue:
         e1, e2 = excised(1e-3), excised(5e-4)
         oracle = 2 * e2 - e1
         assert val == pytest.approx(oracle, abs=1e-8)
+
+    def test_pole_values_in_one_call(self, monkeypatch):
+        # g(pole), g(pole + dx) and g(pole - dx) come from one call and
+        # equal the former three one-point calls bit for bit.
+        def g(x):
+            return np.exp(-np.asarray(x) ** 2) * (1.0 + 0.5j)
+
+        spy, sizes = _spy(g)
+        quads = []
+
+        def record(f, *args, **kwargs):
+            quads.append(f)
+            return integrate_finite(f, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate_finite", record)
+        pole, a, b = 0.3, -1.0, 2.0
+        integrate_principal_value(spy, pole, a, b, TIGHT)
+        assert sizes[0] == 3
+        dx = 1e-7 * (b - a)
+        gp = complex(np.asarray(g(np.array([pole])), dtype=np.complex128)[0])
+        gprime = (np.asarray(g(np.array([pole + dx])))[0]
+                  - np.asarray(g(np.array([pole - dx])))[0]) / (2.0 * dx)
+        reg = quads[0]
+        assert reg(np.array([pole]))[0] == gprime
+        x = np.array([0.7])
+        assert reg(x)[0] == (g(x)[0] - gp) / (x[0] - pole)
 
     def test_pole_outside_rejected(self):
         with pytest.raises(DomainError):

@@ -22,7 +22,7 @@ from plasmaskin import (
     lam_boundary,
     make_params,
 )
-from plasmaskin import solution
+from plasmaskin import numerics, oracle, solution
 from plasmaskin.cli import _SWEEP_BLOCK
 from plasmaskin.dispersion import (
     boundary_arrays,
@@ -107,7 +107,7 @@ class TestComputeJMany:
         scale = max(1.0, zero_scale_estimate(p))
         val = integrate_semi_infinite(lambda t: 1.0 / lam_imag_axis(t, p),
                                       scale=scale,
-                                      breakpoints=_spike_breakpoints(p, scale))
+                                      breakpoints=_spike_breakpoints([p], [scale]))
         assert J == val / math.pi
 
     def test_degenerate_row_is_named(self, monkeypatch):
@@ -139,7 +139,21 @@ def test_spike_breakpoints_match_loop_scan():
         scale = max(1.0, zero_scale_estimate(p))
         taus = np.geomspace(1e-3 * scale, 1e3 * scale, 600)
         ref = _loop_minima(taus, np.abs(lam_imag_axis(taus, p)), below=0.5)
-        assert list(_spike_breakpoints(p, scale)) == ref
+        assert list(_spike_breakpoints([p], [scale])) == ref
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.9, 1.1, 401),
+                                  np.geomspace(0.01, 2.0, 401)])
+def test_block_spike_scan_matches_rows(grid):
+    # One scan for a sweep block gives each row's minima, bit for bit.
+    ps = [make_params(float(g), 1e-3, 1e-3) for g in grid]
+    scales = [max(1.0, zero_scale_estimate(p)) for p in ps]
+    for i in range(0, len(ps), _SWEEP_BLOCK):
+        rows = [_spike_breakpoints([p], [s])
+                for p, s in zip(ps[i:i + _SWEEP_BLOCK], scales[i:i + _SWEEP_BLOCK])]
+        block = _spike_breakpoints(ps[i:i + _SWEEP_BLOCK],
+                                   scales[i:i + _SWEEP_BLOCK])
+        assert np.array_equal(block, np.concatenate(rows))
 
 
 class TestCoefficients:
@@ -439,3 +453,39 @@ class TestIdentityResiduals:
             assert residual_field_normalization(coeffs, p) == res["field_normalization"]
             assert residual_coefficient_constant(coeffs, p) == res["coefficient_constant"]
             assert check_residue_identity(2j, coeffs, p) == res["resolvent"]
+
+
+# Integrand calls at the panel points (conftest.PANEL_GAMMAS), about 1.5x
+# what the batched rounds make.  One panel at a time made 11-72 for J,
+# 32-127 for the Fourier impedance, 15 for the identities and 13-931 for
+# field_e, so a return to it fails here without any timing.
+_CALL_BOUNDS = {
+    "compute_J": (15, 18, 18, 6, 9),
+    "fourier_impedance": (21, 26, 29, 36, 45),
+    "identity_residuals": (8, 8, 8, 8, 8),
+    "field_e": (15, 24, 3, 3, 3),
+}
+
+
+def test_integrand_calls_stay_batched(panel, monkeypatch):
+    calls = []
+    quad = numerics.integrate_finite
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            calls.append(np.size(x))
+            return f(x)
+        return quad(g, *args, **kwargs)
+
+    for module in (numerics, solution, oracle):
+        monkeypatch.setattr(module, "integrate_finite", counted)
+    xs = np.geomspace(1e-3, 20.0, 12)
+    for k, (p, coeffs) in enumerate(panel):
+        stages = {"compute_J": lambda: compute_J(p),
+                  "fourier_impedance": lambda: oracle.fourier_impedance(p),
+                  "identity_residuals": lambda: identity_residuals(coeffs, p),
+                  "field_e": lambda: field_e(xs, coeffs, p)}
+        for name, run in stages.items():
+            calls.clear()
+            run()
+            assert len(calls) <= _CALL_BOUNDS[name][k], (name, p.gamma, len(calls))
