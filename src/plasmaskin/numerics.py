@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,10 @@ _MAX_PASSES = 48                # winding refinement passes before giving up
 _CALL_VALUES = 1 << 20          # nodes x components one quadrature call may see
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budget for adaptive quadrature."""
@@ -65,12 +70,12 @@ class QuadratureSpec:
     max_subdivisions: int = 4000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0.0:
-            raise DomainError("abs_tol must be non-negative")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise DomainError("rel_tol must be positive and finite")
+        if not (0.0 <= self.abs_tol < math.inf):
+            raise DomainError("abs_tol must be non-negative and finite")
+        if not _is_int(self.max_subdivisions) or self.max_subdivisions < 1:
+            raise DomainError("max_subdivisions must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,11 @@ def newton_refine(f, fprime, z0: complex, max_iter: int = 80) -> complex:
     ``max_iter`` steps, z is accepted if |f(z)| < 1e-13*s.  Otherwise, and
     on a non-finite f', a zero f' at an unconverged point or a non-finite
     iterate, raises :class:`NewtonError` with the iterate trace.  Errors
-    raised by f or fprime propagate.
+    raised by f or fprime propagate; a ``max_iter`` that is not an
+    integer >= 0 raises :class:`DomainError`.
     """
+    if not _is_int(max_iter) or max_iter < 0:
+        raise DomainError("max_iter must be an integer >= 0")
     z = complex(z0)
     iterates = [z]
     for k in range(max_iter + 1):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ import scipy.sparse.linalg as spla
 
 from .dispersion import PlasmaParams
 from .errors import CutoffError, DomainError
-from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_finite
+from .numerics import DEFAULT_QUAD, QuadratureSpec, _is_int, integrate_finite
 from .solution import FieldProfile
 from .specfun import SQRT_PI, gauss_hilbert_array
 
@@ -70,8 +69,7 @@ class OracleConfig:
     def __post_init__(self):
         if not (0 < self.k_max < math.inf and 0 < self.x_max < math.inf):
             raise DomainError("k_max and x_max must be finite and positive")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.mu_nodes, self.n_x)):
+        if not (_is_int(self.mu_nodes) and _is_int(self.n_x)):
             raise DomainError("mu_nodes and n_x must be integers")
         if min(self.mu_nodes, self.n_x) < 8:
             raise DomainError("mu_nodes and n_x must both be >= 8")

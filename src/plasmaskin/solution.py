@@ -49,8 +49,8 @@ from .dispersion import (
     _tau2_lambda0,
     boundary_arrays,
     lam,
-    lam_boundary,
     lam_imag_axis,
+    lam_many,
     zero_scale_estimate,
 )
 from .errors import (
@@ -59,13 +59,7 @@ from .errors import (
     DomainError,
     SpectralDegeneracyError,
 )
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    integrate_finite,
-    integrate_principal_value,
-    integrate_semi_infinite,
-)
+from .numerics import DEFAULT_QUAD, QuadratureSpec, integrate_semi_infinite
 from .specfun import SQRT_PI
 from .spectrum import SpectrumInfo
 
@@ -93,14 +87,9 @@ class SolutionCoefficients:
         so A_k saturates to inf (or underflows to 0); every computation
         in this package uses the folded weights B_k instead.
         """
-        out = []
-        for bk, eta in zip(self.discrete_weights, self.spectrum.zeros):
-            w = eta * eta
-            if w.real > 700.0:
-                out.append(complex(math.inf, math.inf))
-            else:
-                out.append(bk * cmath.exp(w) / w)
-        return tuple(out)
+        return tuple(complex(math.inf, math.inf) if (eta * eta).real > 700.0
+                     else bk * cmath.exp(eta * eta) / (eta * eta)
+                     for bk, eta in zip(self.discrete_weights, self.spectrum.zeros))
 
 
 @dataclass
@@ -206,18 +195,18 @@ def compute_J(p: PlasmaParams, spec: QuadratureSpec = DEFAULT_QUAD, *,
     """
     if path == "erfcx":
         return complex(compute_J_many([p], spec)[0])
-    scale = max(1.0, zero_scale_estimate(p))
-    if path == "complex":
-        from .dispersion import lam_many
-
-        def f(tau):
-            vals = lam_many(1j * np.asarray(tau, dtype=float), p)
-            return 1.0 / vals
-    else:
+    if path != "complex":
         raise DomainError(f"unknown path {path!r}")
+    return _one_point_J(
+        lambda tau: 1.0 / lam_many(1j * np.asarray(tau, dtype=float), p),
+        p, spec)
+
+
+def _one_point_J(f, p: PlasmaParams, spec: QuadratureSpec) -> complex:
+    """(1/pi) int_0^oo f(tau) dtau on the panels seeded for p alone."""
+    scale = max(1.0, zero_scale_estimate(p))
     bps = _spike_breakpoints([p], [scale])
-    val = integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps)
-    return val / math.pi
+    return integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps) / math.pi
 
 
 def compute_coefficients(p: PlasmaParams, *, spectrum_info: SpectrumInfo | None = None,
@@ -239,22 +228,30 @@ def compute_coefficients(p: PlasmaParams, *, spectrum_info: SpectrumInfo | None 
                                 spectrum=info, e_s=e_s, c1_split_difference=split)
 
 
+def _continuum_coefficients(eta, coeffs: SolutionCoefficients, p: PlasmaParams):
+    """A(eta) and the principal part of lam on an array of eta >= 0."""
+    eta = np.asarray(eta, dtype=float)
+    lp, lm = boundary_arrays(eta, p)
+    near = np.abs(lp * lm) < _LAM_FLOOR
+    if near.any():
+        mu = float(eta[near][0])
+        raise BoundaryProximityError(
+            f"boundary values of lam vanish near eta = {mu}", mu=mu)
+    return -coeffs.C1 * p.a * eta / (lp * lm), 0.5 * (lp + lm)
+
+
 def continuum_coefficient(eta: float, coeffs: SolutionCoefficients,
                           p: PlasmaParams) -> complex:
     """Continuum-spectrum coefficient A(eta) for eta > 0.
 
     Evaluated in the product form -C1*a*eta/(lam_plus*lam_minus); the
     eta -> 0+ limit is 0 (linear in eta) and needs no special casing.
+    A one-point wrapper of the array form that :func:`field_h` uses.
     """
     eta = float(eta)
     if not (eta > 0.0 and math.isfinite(eta)):
         raise DomainError("eta must be positive and finite")
-    bv = lam_boundary(eta, p)
-    denom = bv.lambda_plus * bv.lambda_minus
-    if abs(denom) < _LAM_FLOOR:
-        raise BoundaryProximityError(
-            f"boundary values of lam vanish near eta = {eta}", mu=eta)
-    return -coeffs.C1 * p.a * eta / denom
+    return complex(_continuum_coefficients([eta], coeffs, p)[0][0])
 
 
 def _continuum_weight(eta, coeffs, p):
@@ -298,54 +295,56 @@ def field_e(x_grid, coeffs: SolutionCoefficients, p: PlasmaParams,
     return FieldProfile(x_grid=xs.copy(), e_values=pref * (disc + cont))
 
 
-def field_h(x: float, mu: float, coeffs: SolutionCoefficients, p: PlasmaParams,
-            spec: QuadratureSpec = _FIELD_QUAD) -> complex:
-    """Distribution-function amplitude h(x, mu) at one phase-space point.
+def field_h(x, mu, coeffs: SolutionCoefficients, p: PlasmaParams,
+            spec: QuadratureSpec = _FIELD_QUAD):
+    """Distribution-function amplitude h(x, mu) at (x, mu) pairs.
 
-    For mu > 0 the continuum integral is a principal value across
-    eta = mu plus the delta-term contribution lam(mu)*A(mu)*
-    exp(-z0*x/mu); for mu <= 0 the integrand is regular on (0, oo).
+    ``x`` and ``mu`` broadcast to pairs; h comes back in their shape (a
+    complex for two scalars).  h is the discrete sum, the continuum
+    principal value across eta = mu and, for mu > 0, the delta term
+    lam(mu)*A(mu)*exp(-z0*x/mu).  All pairs share one vector quadrature;
+    for mu > 0 the numerator's pole value is subtracted on [0, 2*mu],
+    over which PV int d(eta)/(eta - mu) = 0.  The discrete sum plus the
+    delta term is the quadrature offset, so each pair converges to
+    ``spec`` relative to h.  A call raises if any one pair fails.
     """
-    x = float(x)
-    mu = float(mu)
-    if not (x >= 0.0 and math.isfinite(x) and math.isfinite(mu)):
-        raise DomainError("need finite x >= 0 and finite mu")
-    for eta in coeffs.spectrum.zeros:
-        if abs(eta.real - mu) < 1e-12:
-            raise DomainError(
-                f"mu = {mu} coincides with the real part of the discrete "
-                f"zero {eta}; the configuration is rejected as measure-zero")
+    try:
+        xs, mus = np.broadcast_arrays(np.asarray(x, float), np.asarray(mu, float))
+    except ValueError as exc:
+        raise DomainError(f"x and mu must broadcast as reals: {exc}") from exc
+    shape, xs, mus = xs.shape, xs.ravel(), mus.ravel()
+    if not (xs.size and np.isfinite(xs).all() and np.isfinite(mus).all()
+            and (xs >= 0.0).all()):
+        raise DomainError("need one or more pairs of finite x >= 0, finite mu")
+    zeros = np.array(coeffs.spectrum.zeros, dtype=complex)
+    hit = np.argwhere(np.abs(zeros.real - mus[:, None]) < 1e-12)
+    if hit.size:
+        i, k = hit[0]
+        raise DomainError(
+            f"mu = {mus[i]} coincides with the real part of the discrete "
+            f"zero {zeros[k]}; the configuration is rejected as measure-zero")
+    pref = p.a / SQRT_PI
+    disc = pref * (np.exp(-p.z0 * xs[:, None] / zeros) * zeros
+                   / (zeros - mus[:, None])) @ np.array(coeffs.discrete_weights)
+    # The pole in (0, oo), or 0 for pairs without one: A(0) = 0 there.
+    pole = np.maximum(mus, 0.0)
+    decay = np.exp(-p.z0 * xs / np.where(pole > 0.0, pole, 1.0))
+    a_pole, lam_pole = _continuum_coefficients(pole, coeffs, p)
+    delta = lam_pole * a_pole * decay
+    at_pole = pref * pole**3 * np.exp(-pole * pole) * a_pole * decay
 
-    disc = sum(bk * eta / (eta - mu) * cmath.exp(-p.z0 * x / eta)
-               for bk, eta in zip(coeffs.discrete_weights,
-                                  coeffs.spectrum.zeros))
-    disc *= p.a / SQRT_PI
+    def integrand(eta):
+        eta = np.asarray(eta, dtype=float)[:, None]
+        num = (pref * eta * _continuum_weight(eta, coeffs, p)
+               * np.exp(-p.z0 * xs / eta)
+               - np.where(eta < 2.0 * pole, at_pole, 0.0))
+        d = eta - mus   # a node exactly at a pole (measure zero) adds 0
+        return np.divide(num, d, out=np.zeros_like(num), where=d != 0.0)
 
-    def smooth(eta):
-        eta = np.asarray(eta, dtype=float)
-        w = _continuum_weight(eta, coeffs, p)  # eta^2 e^{-eta^2} A(eta)
-        out = np.zeros_like(w)
-        pos = eta > 0.0
-        out[pos] = ((p.a / SQRT_PI) * eta[pos] * w[pos]
-                    * np.exp(-p.z0 * x / eta[pos]))
-        return out
-
-    if mu > 0.0:
-        d = 0.5 * min(mu, 1.0)
-        lo, hi = mu - d, mu + d
-        parts = integrate_principal_value(smooth, mu, lo, hi, spec)
-        if lo > 0.0:
-            parts += integrate_finite(lambda e: smooth(e) / (e - mu),
-                                      0.0, lo, spec)
-        parts += integrate_semi_infinite(
-            lambda s: smooth(s + hi) / (s + hi - mu), spec, scale=2.0)
-        delta_term = (lam_boundary(mu, p).principal
-                      * continuum_coefficient(mu, coeffs, p)
-                      * cmath.exp(-p.z0 * x / mu))
-        return disc + parts + delta_term
-    cont = integrate_semi_infinite(lambda e: smooth(e) / (e - mu),
-                                   spec, scale=2.0)
-    return disc + cont
+    h = disc + delta + integrate_semi_infinite(
+        integrand, spec, scale=2.0, breakpoints=np.append(pole, 2.0 * pole),
+        offset=disc + delta)
+    return h.reshape(shape) if shape else complex(h[0])
 
 
 def e_prime_at_surface(coeffs: SolutionCoefficients, p: PlasmaParams) -> complex:
@@ -401,10 +400,7 @@ def impedance_reduced_form(p: PlasmaParams, *, c_light: float = 1.0,
                  - 1j * gv2 * SQRT_PI * tau**3 * _erfcx(tau))
         return w3 / denom
 
-    scale = max(1.0, zero_scale_estimate(p))
-    bps = _spike_breakpoints([p], [scale])
-    J = integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps) / math.pi
-    return _assemble_impedance(p, J, c_light)
+    return _assemble_impedance(p, _one_point_J(f, p, spec), c_light)
 
 
 def _identity_residuals(coeffs: SolutionCoefficients, p: PlasmaParams,

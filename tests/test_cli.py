@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from plasmaskin import cli
@@ -20,7 +21,7 @@ from plasmaskin.cli import (
 )
 from plasmaskin.dispersion import make_params
 from plasmaskin.errors import BoundaryProximityError, DomainError
-from plasmaskin.solution import impedance
+from plasmaskin.solution import field_h, impedance
 
 
 class TestSweep:
@@ -65,6 +66,24 @@ class TestSweep:
             SweepSpec(gamma_start=0.5, gamma_end=0.4, n_points=10)
         with pytest.raises(DomainError):
             SweepSpec(gamma_start=0.1, gamma_end=0.4, n_points=1)
+
+    @pytest.mark.parametrize("field", ["gamma_start", "gamma_end",
+                                       "epsilon", "v_c"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_spec_rejects_non_finite(self, field, value):
+        kwargs = {"gamma_start": 0.5, "gamma_end": 0.6, "n_points": 5,
+                  field: value}
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(**kwargs)
+
+    def test_infinite_gamma_end_is_a_usage_error(self, capsys):
+        # It used to exit 0 and write "gamma": NaN / Infinity, which
+        # strict JSON parsers reject.
+        code = main(["sweep", "--gamma-start", "0.5", "--gamma-end", "inf",
+                     "--points", "5", "--format", "json"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestFailedRowDetail:
@@ -246,6 +265,18 @@ class TestSelfcheck:
     def test_empty_panel_rejected(self):
         with pytest.raises(DomainError):
             run_selfcheck([])
+
+    def test_one_field_h_call_per_point(self, monkeypatch):
+        calls = []
+
+        def spy(x, mu, *args, **kwargs):
+            calls.append(np.shape(mu))
+            return field_h(x, mu, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "field_h", spy)
+        report = run_selfcheck([(0.5, 1e-3, 1e-3), (1.3, 1e-3, 1e-3)])
+        assert report["all_pass"] is True
+        assert calls == [(2, 3), (2, 3)]
 
     def test_main_exit_codes(self, tmp_path):
         panel = tmp_path / "panel.json"

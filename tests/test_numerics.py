@@ -417,6 +417,21 @@ class TestNewton:
         with pytest.raises(DomainError):
             newton_refine(f, lambda z: 2.0 * z, 2.0 + 0j)
 
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, True, None])
+    def test_rejects_bad_max_iter(self, max_iter):
+        # max_iter = -1 used to leave the loop unentered and fail with
+        # an UnboundLocalError.
+        with pytest.raises(DomainError, match="max_iter"):
+            newton_refine(lambda z: z - 1.0, lambda z: 1.0 + 0j, 2.0,
+                          max_iter=max_iter)
+
+    def test_zero_max_iter_only_tests_the_start(self):
+        assert newton_refine(lambda z: z - 1.0, lambda z: 1.0 + 0j, 1.0,
+                             max_iter=0) == 1.0
+        with pytest.raises(NewtonError, match="within 0 iterations"):
+            newton_refine(lambda z: z - 1.0, lambda z: 1.0 + 0j, 2.0,
+                          max_iter=0)
+
     def test_final_test_accepts_after_max_iter(self):
         # |f| = 1.5e-14 never meets the 1e-14 convergence test; once the
         # iterations are spent, the looser 1e-13 final test accepts.
@@ -551,6 +566,24 @@ class TestSpecs:
             QuadratureSpec(abs_tol=-1.0)
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.nan}, {"rel_tol": math.inf},
+        {"abs_tol": math.nan}, {"abs_tol": math.inf},
+        {"max_subdivisions": 2.5}, {"max_subdivisions": 100.0},
+        {"max_subdivisions": True}, {"max_subdivisions": "100"},
+    ])
+    def test_quadrature_spec_rejects_non_finite_and_non_integer(self, kwargs):
+        # nan abs_tol used to reach integrate_finite and fail as a
+        # collapsed interval; an infinite tolerance accepted the first
+        # Kronrod estimate; a float budget failed on slicing.
+        with pytest.raises(DomainError):
+            QuadratureSpec(**kwargs)
+
+    def test_quadrature_spec_accepts_numpy_integers(self):
+        spec = QuadratureSpec(max_subdivisions=np.int64(50))
+        assert integrate_finite(np.exp, 0.0, 1.0, spec) == pytest.approx(
+            math.e - 1.0, rel=1e-13)
 
     def test_path_segment_validation(self):
         with pytest.raises(DomainError):
