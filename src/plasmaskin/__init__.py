@@ -35,7 +35,6 @@ from .errors import (
     WindingError,
 )
 from .numerics import (
-    PathSegment,
     QuadratureSpec,
     integrate_finite,
     integrate_principal_value,

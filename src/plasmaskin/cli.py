@@ -18,6 +18,7 @@ import concurrent.futures
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from . import solution as _solution
 from . import spectrum as _spectrum
 from .dispersion import make_params
 from .errors import BoundaryProximityError, DomainError, PlasmaSkinError
+from .numerics import _is_int
 from .oracle import fourier_impedance
 from .solution import compute_coefficients, field_e, field_h, impedance
 
@@ -53,12 +55,15 @@ class SweepSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma_start < self.gamma_end < math.inf):
             raise DomainError("need finite 0 < gamma_start < gamma_end")
-        if self.n_points < 2:
-            raise DomainError("n_points must be >= 2")
+        if not _is_int(self.n_points) or self.n_points < 2:
+            raise DomainError("n_points must be an integer >= 2")
         if self.scale not in ("linear", "log"):
             raise DomainError("scale must be 'linear' or 'log'")
         if not (0 < self.epsilon < math.inf and 0 < self.v_c < math.inf):
             raise DomainError("epsilon and v_c must be positive and finite")
+        if any(isinstance(v, bool) for v in
+               (self.gamma_start, self.gamma_end, self.epsilon, self.v_c)):
+            raise DomainError("sweep parameters must not be bools")
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -178,10 +183,10 @@ def write_rows_json(rows, stream) -> None:
 
 def dump_profile(p, x_max: float, n: int, stream) -> None:
     """CSV of x, Re e, Im e, |e| on a log-spaced grid from 0 to x_max."""
-    if not (x_max > 0.0):
-        raise DomainError("x_max must be positive")
-    if n < 2:
-        raise DomainError("need at least two grid points")
+    if not (0.0 < x_max < math.inf):
+        raise DomainError("x_max must be positive and finite")
+    if not _is_int(n) or n < 2:
+        raise DomainError("need an integer of at least two grid points")
     if n == 2:
         xs = np.array([0.0, x_max])
     else:
@@ -323,8 +328,11 @@ def main(argv=None) -> int:
 
         if args.command == "profile":
             p = make_params(args.gamma, args.epsilon, args.vc)
+            # Computed before --out is opened, so a failure leaves it as it was.
+            buf = io.StringIO()
+            dump_profile(p, args.xmax, args.points, buf)
             with _output(args.out) as stream:
-                dump_profile(p, args.xmax, args.points, stream)
+                stream.write(buf.getvalue())
             return 0
 
         if args.command == "selfcheck":

@@ -71,7 +71,8 @@ class PlasmaParams:
 def make_params(gamma: float, epsilon: float, v_c: float) -> PlasmaParams:
     """Build PlasmaParams from the three reduced inputs (all > 0)."""
     for name, val in (("gamma", gamma), ("epsilon", epsilon), ("v_c", v_c)):
-        if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0):
+        if not (isinstance(val, (int, float)) and not isinstance(val, bool)
+                and math.isfinite(val) and val > 0):
             raise DomainError(f"{name} must be a positive finite number, got {val!r}")
     gamma, epsilon, v_c = float(gamma), float(epsilon), float(v_c)
     w = complex(epsilon, -gamma)          # epsilon - i*gamma

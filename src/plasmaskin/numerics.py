@@ -1,5 +1,5 @@
 """Generic numerical kernels: adaptive quadrature, principal values,
-complex Newton refinement, and winding numbers along closed paths.
+complex Newton refinement, and winding numbers along closed polygons.
 
 The quadrature core is an adaptive Gauss-Kronrod 7-15 rule operating on
 complex-valued integrands.  It refines in rounds: each round bisects
@@ -17,7 +17,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,19 +75,6 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be non-negative and finite")
         if not _is_int(self.max_subdivisions) or self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class PathSegment:
-    """Straight segment of an integration/winding path."""
-
-    start: complex
-    end: complex
-    samples: int = 8
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise DomainError("samples must be >= 2")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -315,68 +301,30 @@ def newton_refine(f, fprime, z0: complex, max_iter: int = 80) -> complex:
     raise NewtonError(f"no convergence within {max_iter} iterations", iterates)
 
 
-class _PathSamples(NamedTuple):
-    """A closed polyline's initial winding samples, as read-only arrays.
+def winding_number(f, points, *, min_modulus: float = 0.0) -> int:
+    """Winding number of f along a closed polygon given by its samples.
 
-    ``starts`` and ``spans`` hold one entry per edge; ``edge``, ``t`` and
-    ``points`` one per sample, the sample being
-    ``starts[edge] + t*spans[edge]``.
+    ``points`` is a 1-d array of at least three finite complex points in
+    path order; the path runs straight from each point to the next and
+    from the last back to the first.  The phase is tracked by
+    nearest-branch continuation; every step whose phase change is at
+    least pi/2 gets its midpoint inserted, until no such step is left.
+    f is called once on all initial points, then once per refinement
+    pass on all new midpoints.  Raises :class:`ContourZeroError` at the
+    first point in path order where |f| falls to ``min_modulus`` or
+    below, :class:`WindingError` if refinement stalls, and
+    :class:`DomainError` for malformed ``points``.
     """
+    try:
+        pts = np.asarray(points, dtype=complex)
+        ok = pts.ndim == 1 and pts.size >= 3 and np.isfinite(pts).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DomainError("points must be a 1-d array of at least three "
+                          "finite complex numbers")
 
-    starts: np.ndarray
-    spans: np.ndarray
-    edge: np.ndarray
-    t: np.ndarray
-    points: np.ndarray
-
-
-def _sample_path(path) -> _PathSamples:
-    """Check that a sequence of PathSegments closes; sample each edge.
-
-    Edge k contributes samples t = 0, 1/n_k, ..., (n_k - 1)/n_k; its
-    t = 1 end is the next edge's first sample.
-    """
-    rows = [(s.start, s.end, s.samples) for s in path]
-    if not rows:
-        raise DomainError("path is empty")
-    starts, ends, counts = zip(*rows)
-    # Each edge's start, its end and the next edge's start.
-    v = np.array([starts, ends, starts[1:] + starts[:1]], dtype=complex)
-    if (np.abs(v[1] - v[2]) > 1e-12 * max(np.abs(v[:2]).max(), 1.0)).any():
-        raise DomainError("path is not closed")
-    starts, spans = v[0], v[1] - v[0]
-    counts = np.array(counts)
-    edge = np.arange(counts.size).repeat(counts)
-    first = counts.cumsum() - counts
-    t = (np.arange(edge.size) - first[edge]) / counts[edge]
-    samples = _PathSamples(starts, spans, edge, t, starts[edge] + t * spans[edge])
-    for a in samples:
-        a.flags.writeable = False
-    return samples
-
-
-def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
-    """Winding number of f along a closed polyline of PathSegments.
-
-    The phase is tracked by nearest-branch continuation; sampling is
-    refined (midpoint insertion) until every consecutive phase step is
-    below pi/2.  f is called once on all initial samples, then once per
-    refinement pass on all new midpoints.  Raises :class:`ContourZeroError`
-    at the first point in path order where |f| falls to ``min_modulus``
-    or below, and :class:`WindingError` if refinement stalls.  ``path``
-    may also be the result of ``_sample_path``, so that a fixed contour
-    is checked and sampled only once.
-    """
-    path = path if isinstance(path, _PathSamples) else _sample_path(path)
-
-    def evaluate(pts):
-        vals = np.asarray(f(pts), dtype=np.complex128)
-        _check_floor(vals, pts, min_modulus)
-        return vals
-
-    edge, t = path.edge, path.t
-    vals = evaluate(path.points)
-
+    vals = _values_off_floor(f, pts, min_modulus)
     for _ in range(_MAX_PASSES):
         steps = np.diff(np.angle(np.append(vals, vals[:1])))
         steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
@@ -389,23 +337,19 @@ def winding_number(f, path, *, min_modulus: float = 0.0) -> int:
                     f"phase sum {w!r} is not an integer multiple of 2*pi")
             return int(k)
 
-        # A step ends at the next sample of its own edge, else at t = 1.
-        t_end = np.append(t[1:], 1.0)
-        t_end[np.append(edge[1:] != edge[:-1], True)] = 1.0
-        lo, hi = t[bad], t_end[bad]
+        lo, hi = pts[bad], pts[(bad + 1) % pts.size]
         mid = 0.5 * (lo + hi)
-        if np.any((mid <= lo) | (mid >= hi)):
+        if np.any((mid == lo) | (mid == hi)):
             raise WindingError("refinement collapsed below resolution")
-        new_edge = edge[bad]
-        new_vals = evaluate(path.starts[new_edge] + mid * path.spans[new_edge])
-        edge = np.insert(edge, bad + 1, new_edge)
-        t = np.insert(t, bad + 1, mid)
-        vals = np.insert(vals, bad + 1, new_vals)
+        vals = np.insert(vals, bad + 1, _values_off_floor(f, mid, min_modulus))
+        pts = np.insert(pts, bad + 1, mid)
 
     raise WindingError(f"phase not resolved after {_MAX_PASSES} refinement passes")
 
 
-def _check_floor(vals, pts, min_modulus):
+def _values_off_floor(f, pts, min_modulus):
+    """f at pts; ContourZeroError at the first non-finite or floored value."""
+    vals = np.asarray(f(pts), dtype=np.complex128)
     mods = np.abs(vals)
     if np.any(~np.isfinite(mods)):
         i = int(np.nonzero(~np.isfinite(mods))[0][0])
@@ -418,17 +362,21 @@ def _check_floor(vals, pts, min_modulus):
             raise ContourZeroError(
                 f"|f| = {mods[i]:.3e} at {pts[i]} is at or below the floor "
                 f"{min_modulus:.1e}", point=complex(pts[i]))
+    return vals
 
 
 def rectangle_path(x0: float, x1: float, y0: float, y1: float,
-                   samples_per_side: int = 16):
-    """Counterclockwise rectangular path [x0,x1] x [y0,y1]."""
+                   samples_per_side: int = 16) -> np.ndarray:
+    """Winding samples of the counterclockwise rectangle [x0,x1] x [y0,y1].
+
+    Each side, from the corner (x0, y0) on, contributes
+    max(2, samples_per_side) equally spaced points starting at its first
+    corner, for :func:`winding_number`.
+    """
     if not (x1 > x0 and y1 > y0):
         raise DomainError("rectangle is degenerate")
-    a = complex(x0, y0)
-    b = complex(x1, y0)
-    c = complex(x1, y1)
-    d = complex(x0, y1)
+    corners = np.array([complex(x0, y0), complex(x1, y0),
+                        complex(x1, y1), complex(x0, y1)])
     n = max(2, samples_per_side)
-    return [PathSegment(a, b, n), PathSegment(b, c, n),
-            PathSegment(c, d, n), PathSegment(d, a, n)]
+    t = np.arange(n) / n
+    return (corners[:, None] + t * (np.roll(corners, -1) - corners)[:, None]).ravel()

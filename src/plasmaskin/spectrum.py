@@ -49,7 +49,7 @@ from .errors import (
     NewtonError,
     PlasmaSkinError,
 )
-from .numerics import PathSegment, winding_number
+from .numerics import winding_number
 from .specfun import FAR_FIELD_RADIUS
 
 EPS_CONTOUR = 1e-3          # distance of the counting contour from the cut
@@ -86,32 +86,34 @@ def _graded_axis(core: float, step: float, ratio: float, L: float):
     return np.concatenate([-xs[::-1], xs[1:]])
 
 
-def _strip_path(L: float, eps: float):
-    """Counterclockwise thin rectangle [-L, L] x [-eps, eps] around the cut."""
+@functools.lru_cache(maxsize=16)
+def _strip_points(L: float, eps: float) -> np.ndarray:
+    """Winding samples of the counterclockwise thin rectangle
+    [-L, L] x [-eps, eps] around the cut: every vertex and every edge
+    midpoint, in path order.  Built once per (L, eps); read-only."""
     xs = _graded_axis(12.0, 0.25, 1.25, L)
     verts = [complex(x, -eps) for x in xs]
     verts += [complex(L, 0.0), complex(L, eps)]
     verts += [complex(x, eps) for x in xs[::-1]]
     verts += [complex(-L, 0.0)]
-    segs = []
-    for v0, v1 in zip(verts, verts[1:] + verts[:1]):
-        segs.append(PathSegment(v0, v1, 2))
-    return segs
-
-
-@functools.lru_cache(maxsize=16)
-def _strip_samples(L: float, eps: float):
-    """The strip's winding samples: built and checked once per (L, eps)."""
-    return numerics._sample_path(_strip_path(L, eps))
+    v = np.array(verts)
+    pts = (v[:, None] + np.array([0.0, 0.5]) * (np.roll(v, -1) - v)[:, None]).ravel()
+    pts.flags.writeable = False
+    return pts
 
 
 def strip_winding(f, L: float, eps: float, *, min_modulus: float = 0.0) -> int:
     """Counterclockwise winding of f along the thin cut-hugging rectangle."""
-    return winding_number(f, _strip_samples(L, eps), min_modulus=min_modulus)
+    return winding_number(f, _strip_points(L, eps), min_modulus=min_modulus)
 
 
 def _strip_half_length(contour_scale: float) -> float:
-    """Half length of the counting strip: just past the far-field radius."""
+    """Half length of the counting strip: just past the far-field radius.
+
+    Raises :class:`DomainError` unless ``contour_scale`` is positive and
+    finite."""
+    if not (contour_scale > 0.0 and math.isfinite(contour_scale)):
+        raise DomainError("contour_scale must be positive and finite")
     return (FAR_FIELD_RADIUS + 1.0) * max(1.0, contour_scale)
 
 
@@ -124,10 +126,8 @@ def count_zeros(p: PlasmaParams, *, contour_scale: float = 1.0) -> int:
     continuous spectrum) and :class:`PlasmaSkinError` if the count is
     not in {2, 4}.
     """
-    if not (contour_scale > 0.0 and math.isfinite(contour_scale)):
-        raise DomainError("contour_scale must be positive and finite")
-    eps = EPS_CONTOUR * contour_scale
     L = _strip_half_length(contour_scale)
+    eps = EPS_CONTOUR * contour_scale
 
     def f(z):
         return lam_many(z, p)
@@ -198,8 +198,8 @@ def _subdivide(p, rect, count, depth=0):
     raise PlasmaSkinError("could not split search rectangle cleanly")
 
 
-def find_zeros(p: PlasmaParams, n: int, *, contour_scale: float = 1.0,
-               search_scale: float = 1.0) -> SpectrumInfo:
+def find_zeros(p: PlasmaParams, n: int, *,
+               contour_scale: float = 1.0) -> SpectrumInfo:
     """Locate the decaying half of the n zeros and their derivatives.
 
     ``n`` must come from :func:`count_zeros`.  The upper half plane is
@@ -207,15 +207,17 @@ def find_zeros(p: PlasmaParams, n: int, *, contour_scale: float = 1.0,
     polishing; the lower zeros are the mirrors.  The search region is
     everything above the counting strip: the rectangle Im z > eps plus,
     when that holds too few zeros, the thin bands 0 < Im z <= eps beyond
-    the strip's ends.  For each +-eta pair the member with Re(z0/eta) > 0
-    is stored, sorted by |eta|.
+    the strip's ends.  ``contour_scale`` scales the strip as in
+    :func:`count_zeros` and the search half-width by max(1, contour_scale).
+    For each +-eta pair the member with Re(z0/eta) > 0 is stored, sorted
+    by |eta|.
     """
     if n not in (2, 4):
         raise DomainError(f"zero count must be 2 or 4, got {n}")
     half = n // 2
-    eps = EPS_CONTOUR * contour_scale
-    R = max(10.0, 2.0 * zero_scale_estimate(p)) * search_scale
     X = _strip_half_length(contour_scale)
+    eps = EPS_CONTOUR * contour_scale
+    R = max(10.0, 2.0 * zero_scale_estimate(p)) * max(1.0, contour_scale)
 
     uppers = None
     for _ in range(5):

@@ -20,7 +20,7 @@ from plasmaskin.cli import (
     write_rows_json,
 )
 from plasmaskin.dispersion import make_params
-from plasmaskin.errors import BoundaryProximityError, DomainError
+from plasmaskin.errors import BoundaryProximityError, DomainError, PlasmaSkinError
 from plasmaskin.solution import field_h, impedance
 
 
@@ -66,6 +66,26 @@ class TestSweep:
             SweepSpec(gamma_start=0.5, gamma_end=0.4, n_points=10)
         with pytest.raises(DomainError):
             SweepSpec(gamma_start=0.1, gamma_end=0.4, n_points=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_spec_rejects_non_integer_count(self, n):
+        # 2.5 used to pass and fail later inside numpy with a TypeError.
+        with pytest.raises(DomainError, match="integer"):
+            SweepSpec(gamma_start=0.1, gamma_end=0.4, n_points=n)
+
+    @pytest.mark.parametrize("field", ["gamma_start", "gamma_end",
+                                       "epsilon", "v_c"])
+    def test_spec_rejects_bool_parameters(self, field):
+        # A bool epsilon or v_c used to pass here and fail on every row.
+        kwargs = {"gamma_start": 0.1, "gamma_end": 2.0, "n_points": 5,
+                  field: True}
+        with pytest.raises(DomainError, match="bools"):
+            SweepSpec(**kwargs)
+
+    def test_spec_accepts_numpy_counts(self):
+        spec = SweepSpec(gamma_start=np.float64(0.1), gamma_end=0.4,
+                         n_points=np.int64(3))
+        assert spec.grid().tolist() == pytest.approx([0.1, 0.25, 0.4])
 
     @pytest.mark.parametrize("field", ["gamma_start", "gamma_end",
                                        "epsilon", "v_c"])
@@ -224,6 +244,43 @@ class TestProfile:
         assert len(rows) == 2
         assert float(rows[0]["x"]) == 0.0
         assert float(rows[1]["x"]) == 5.0
+
+    @pytest.mark.parametrize("x_max, n", [(math.inf, 5), (math.nan, 5),
+                                          (-1.0, 5), (5.0, 2.5), (5.0, 1),
+                                          (5.0, True)])
+    def test_bad_grid_rejected_up_front(self, base_params, x_max, n):
+        # x_max = inf used to raise a numpy RuntimeWarning first, and
+        # n = 2.5 a numpy TypeError.
+        buf = io.StringIO()
+        with pytest.raises(DomainError):
+            dump_profile(base_params, x_max, n, buf)
+        assert buf.getvalue() == ""
+
+    def test_numpy_count_accepted(self, base_params):
+        buf = io.StringIO()
+        dump_profile(base_params, 5.0, np.int64(3), buf)
+        assert len(buf.getvalue().splitlines()) == 4
+
+    def test_usage_error_keeps_out_file(self, tmp_path):
+        out = tmp_path / "prof.csv"
+        out.write_text("old\n")
+        code = main(["profile", "--gamma", "0.5", "--xmax", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "old\n"
+
+    def test_computational_failure_keeps_out_file(self, tmp_path,
+                                                  monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise PlasmaSkinError("forced failure")
+
+        monkeypatch.setattr(cli, "field_e", broken)
+        out = tmp_path / "prof.csv"
+        out.write_text("old\n")
+        code = main(["profile", "--gamma", "0.5", "--out", str(out)])
+        assert code == 1
+        assert out.read_text() == "old\n"
+        assert "forced failure" in capsys.readouterr().err
 
     def test_via_main(self, tmp_path):
         out = tmp_path / "prof.csv"

@@ -47,6 +47,18 @@ class TestMakeParams:
             with pytest.raises(DomainError):
                 make_params(*bad)
 
+    @pytest.mark.parametrize("bad", [(True, 1e-3, 1e-3), (1e-3, True, 1e-3),
+                                     (1e-3, 1e-3, True), (1e-3, "1", 1e-3)])
+    def test_rejects_non_numbers(self, bad):
+        # A bool used to pass as 1.0.
+        with pytest.raises(DomainError):
+            make_params(*bad)
+
+    def test_accepts_numpy_floats_and_ints(self):
+        p = make_params(np.float64(0.37), 0.37, 1e-3)
+        assert p == make_params(0.37, 0.37, 1e-3)
+        assert make_params(1, 1, 1).gamma == 1.0
+
 
 class TestLam:
     def test_unit_value_at_origin(self, base_params):

@@ -12,7 +12,6 @@ from plasmaskin import (
     ContourZeroError,
     DomainError,
     NewtonError,
-    PathSegment,
     QuadratureError,
     QuadratureSpec,
     integrate_finite,
@@ -27,7 +26,6 @@ from plasmaskin.numerics import (
     _WG,
     _WGK,
     _XGK,
-    _sample_path,
     rectangle_path,
 )
 
@@ -35,8 +33,10 @@ TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4000)
 
 
 def circle(radius=1.0, center=0j, samples=64):
-    pts = [center + radius * np.exp(2j * math.pi * k / 8) for k in range(8)]
-    return [PathSegment(a, b, samples) for a, b in zip(pts, pts[1:] + pts[:1])]
+    """An octagon inscribed in the circle, ``samples`` points per edge."""
+    v = center + radius * np.exp(2j * math.pi * np.arange(8) / 8)
+    t = np.arange(samples) / samples
+    return (v[:, None] + t * (np.roll(v, -1) - v)[:, None]).ravel()
 
 
 class TestSemiInfinite:
@@ -464,36 +464,42 @@ class TestWinding:
         with pytest.raises(ContourZeroError):
             winding_number(lambda z: z - 1.0, circle(), min_modulus=1e-8)
 
-    def test_open_path_rejected(self):
-        segs = [PathSegment(0j, 1 + 0j, 4), PathSegment(1 + 0j, 1 + 1j, 4)]
-        with pytest.raises(DomainError, match="not closed"):
-            winding_number(lambda z: z + 2.0, segs)
-
     def test_empty_path_rejected(self):
-        with pytest.raises(DomainError, match="empty"):
+        with pytest.raises(DomainError, match="at least three"):
             winding_number(lambda z: z, [])
 
-    def test_samples_match_per_segment_construction(self):
-        # Mixed sample counts, a closing gap inside the 1e-12 tolerance.
-        segs = circle(samples=3)[:5] + [
-            PathSegment(s.start, s.end + 1e-13, n)
-            for s, n in zip(circle()[5:], (2, 7, 5))]
-        got = _sample_path(segs)
-        starts = np.array([s.start for s in segs], dtype=complex)
-        spans = np.array([s.end - s.start for s in segs], dtype=complex)
-        edge = np.repeat(np.arange(len(segs)), [s.samples for s in segs])
-        t = np.concatenate([np.arange(s.samples) / s.samples for s in segs])
-        for a, b in zip(got, (starts, spans, edge, t,
-                              starts[edge] + t * spans[edge])):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert not a.flags.writeable
+    @pytest.mark.parametrize("points", [
+        [1, 1j],                                   # too few to enclose
+        np.ones((2, 4), dtype=complex),            # not 1-d
+        [1, 1j, -1, complex(math.nan, 0.0)],       # not finite
+        [1, 1j, complex(-math.inf, 0.0)],
+        ["a", "b", "c"],                           # not numbers
+        [object(), object(), object()],
+    ])
+    def test_malformed_points_rejected(self, points):
+        calls = []
+        with pytest.raises(DomainError, match="at least three"):
+            winding_number(calls.append, points)
+        assert calls == []
+
+    def test_rectangle_path_samples(self):
+        # samples_per_side points per side, each side starting at its
+        # first corner, counterclockwise from (x0, y0); at least two.
+        corners = np.array([-1 - 2j, 3 - 2j, 3 + 5j, -1 + 5j])
+        spans = np.roll(corners, -1) - corners
+        for n, per_side in ((5, 5), (1, 2), (2, 2)):
+            got = rectangle_path(-1, 3, -2, 5, n)
+            want = [c + k / per_side * d for c, d in zip(corners, spans)
+                    for k in range(per_side)]
+            assert got.dtype == complex and np.array_equal(got, want)
+        with pytest.raises(DomainError, match="degenerate"):
+            rectangle_path(0, 0, 0, 1)
         f = lambda z: (z - 0.3j) * (z + 0.2)
-        assert winding_number(f, got) == winding_number(f, segs) == 2
+        assert winding_number(f, rectangle_path(-1, 3, -2, 5, 1)) == 2
 
     def test_needs_refinement_high_order(self):
         # z^9 with coarse initial sampling forces midpoint insertion
-        segs = circle(samples=2)
-        assert winding_number(lambda z: z**9, segs) == 9
+        assert winding_number(lambda z: z**9, circle(samples=2)) == 9
 
     @staticmethod
     def counting(f):
@@ -506,13 +512,11 @@ class TestWinding:
         return g, calls
 
     def test_first_call_covers_every_initial_sample(self):
-        segs = circle(samples=64)
+        pts = circle(samples=64)
         g, calls = self.counting(lambda z: z)
-        assert winding_number(g, segs) == 1
-        expected = [s.start + k / s.samples * (s.end - s.start)
-                    for s in segs for k in range(s.samples)]
+        assert winding_number(g, pts) == 1
         assert len(calls) == 1
-        assert np.array_equal(calls[0], np.array(expected))
+        assert np.array_equal(calls[0], pts)
 
     def test_one_call_per_refinement_pass(self):
         # z^9 on 16 samples turns by 9*2*pi/16 per step and on 32 by
@@ -526,19 +530,20 @@ class TestWinding:
 
     def test_refinement_across_edge_end_and_wrap_around(self):
         # Two zeros just inside the square, one under the last stretch of
-        # edge 0 (from t = 0.5 up to the corner 1 - 1j, which is edge 1's
-        # first sample) and one next to the path's start -1 - 1j, so the
-        # step from the last sample back to the first needs refinement.
+        # the bottom side (from 0 up to the corner 1 - 1j, the right
+        # side's first sample) and one next to the path's start -1 - 1j,
+        # so the step from the last sample back to the first needs
+        # refinement.
         f = lambda z: (z - (0.5 - 0.99j)) * (z - (-0.99 - 0.99j))
         g, calls = self.counting(f)
         assert winding_number(g, rectangle_path(-1, 1, -1, 1, 2)) == 2
         assert len(calls) >= 2
-        assert 0.5 - 1j in calls[1]      # edge 0 at t = 0.75
-        assert -1 - 0.5j in calls[1]     # edge 3 at t = 0.75, before the wrap
+        assert 0.5 - 1j in calls[1]      # bottom side, 3/4 of the way
+        assert -1 - 0.5j in calls[1]     # left side, 3/4 of the way, before the wrap
 
     def test_contour_zero_point_first_in_path_order_initial(self):
-        # Zeros at edge 0, t = 0.75 and edge 1, t = 0.25: the first in
-        # path order is not the one with the smaller t.
+        # Zeros 3/4 along the bottom side and 1/4 along the right side:
+        # the first in path order is not the one nearer its side's start.
         f = lambda z: (z - (0.5 - 1j)) * (z - (1 - 0.5j))
         g, calls = self.counting(f)
         with pytest.raises(ContourZeroError) as err:
@@ -547,8 +552,8 @@ class TestWinding:
         assert len(calls) == 1
 
     def test_contour_zero_point_first_in_path_order_refinement(self):
-        # Zeros at edge 0, t = 0.875 and edge 1, t = 0.125: no initial
-        # sample, but the midpoints of the steps across them.
+        # Zeros 7/8 along the bottom side and 1/8 along the right side:
+        # no initial sample, but the midpoints of the steps across them.
         f = lambda z: (z - (0.75 - 1j)) * (z - (1 - 0.75j))
         g, calls = self.counting(f)
         with pytest.raises(ContourZeroError) as err:
@@ -584,7 +589,3 @@ class TestSpecs:
         spec = QuadratureSpec(max_subdivisions=np.int64(50))
         assert integrate_finite(np.exp, 0.0, 1.0, spec) == pytest.approx(
             math.e - 1.0, rel=1e-13)
-
-    def test_path_segment_validation(self):
-        with pytest.raises(DomainError):
-            PathSegment(0j, 1j, samples=1)

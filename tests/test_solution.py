@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from plasmaskin import (
+    BoundaryProximityError,
     DomainError,
     SpectralDegeneracyError,
+    analyze,
     check_residue_identity,
     compute_J,
     compute_J_many,
@@ -22,7 +24,7 @@ from plasmaskin import (
     lam_boundary,
     make_params,
 )
-from plasmaskin import numerics, oracle, solution
+from plasmaskin import numerics, oracle, solution, spectrum
 from plasmaskin.cli import _SWEEP_BLOCK
 from plasmaskin.dispersion import (
     boundary_arrays,
@@ -556,3 +558,36 @@ def test_integrand_calls_stay_batched(panel, monkeypatch):
             calls.clear()
             run()
             assert len(calls) <= _CALL_BOUNDS[name][k], (name, p.gamma, len(calls))
+
+
+# (gamma, epsilon, v_c) -> windings, integrand calls and points that
+# analyze evaluates: the strip and the first search rectangle at the
+# panel points, the subdivision of an N = 4 point, and the refinement of
+# a strip that ends in a count of 0 near the spectral boundary.
+_WINDING_WORK = {
+    **{(g, 1e-3, 1e-3): (2, 2, 602) for g in (0.1, 0.5, 0.9, 1.0, 1.3)},
+    (0.1, 0.1, 0.5): (16, 19, 1952),
+    (1.286, 1e-3, 0.5): (1, 5, 426),
+}
+
+
+@pytest.mark.parametrize("point", sorted(_WINDING_WORK), ids=str)
+def test_winding_work_is_pinned(point, monkeypatch):
+    windings, sizes = [], []
+    winding = spectrum.winding_number
+
+    def counted(f, points, **kwargs):
+        def g(z):
+            sizes.append(np.size(z))
+            return f(z)
+        windings.append(points)
+        return winding(g, points, **kwargs)
+
+    monkeypatch.setattr(spectrum, "winding_number", counted)
+    p = make_params(*point)
+    if point == (1.286, 1e-3, 0.5):
+        with pytest.raises(BoundaryProximityError, match="came out 0"):
+            analyze(p)
+    else:
+        analyze(p)
+    assert (len(windings), len(sizes), sum(sizes)) == _WINDING_WORK[point]

@@ -82,7 +82,7 @@ _CACHE_GRIDS = {
 
 
 class TestStripCache:
-    """The counting strip is built, checked and sampled once per (L, eps)."""
+    """The counting strip's points are built once per (L, eps)."""
 
     # A floor of 1.0 trips ContourZeroError on most rows of both grids.
     @pytest.mark.parametrize("floor, stride", [(spectrum.BOUNDARY_FLOOR, 1),
@@ -105,9 +105,9 @@ class TestStripCache:
             return out
 
         cached = outcomes()
-        # A fresh list of PathSegments on every call, through the general
-        # winding_number route.
-        monkeypatch.setattr(spectrum, "_strip_samples", spectrum._strip_path)
+        # A fresh, writable array built on every call.
+        monkeypatch.setattr(spectrum, "_strip_points",
+                            spectrum._strip_points.__wrapped__)
         fresh = outcomes()
         assert cached == fresh
         raised = [o for o in cached if isinstance(o, tuple)]
@@ -120,45 +120,55 @@ class TestStripCache:
 
     def test_second_call_does_not_rebuild(self, base_params, monkeypatch):
         built = []
+        axis = spectrum._graded_axis
 
-        class Spy(spectrum.PathSegment):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
+        def spy(*args):
+            built.append(args)
+            return axis(*args)
 
-        monkeypatch.setattr(spectrum, "PathSegment", Spy)
-        spectrum._strip_samples.cache_clear()
+        monkeypatch.setattr(spectrum, "_graded_axis", spy)
+        spectrum._strip_points.cache_clear()
         try:
             assert count_zeros(base_params) == 2
-            first = len(built)
-            assert first > 0
+            assert len(built) == 1
             assert count_zeros(make_params(0.5, 1e-3, 1e-3)) == 2
-            assert len(built) == first
+            assert len(built) == 1
         finally:
-            spectrum._strip_samples.cache_clear()
+            spectrum._strip_points.cache_clear()
 
     def test_cached_arrays_reject_writes(self, base_params):
         count_zeros(base_params)
-        samples = spectrum._strip_samples(spectrum._strip_half_length(1.0),
-                                          spectrum.EPS_CONTOUR)
-        assert samples._fields == ("starts", "spans", "edge", "t", "points")
-        for a in samples:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = a[1]
+        pts = spectrum._strip_points(spectrum._strip_half_length(1.0),
+                                     spectrum.EPS_CONTOUR)
+        assert pts.ndim == 1 and pts.dtype == complex
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = pts[1]
+
+    def test_strip_points_are_vertices_and_edge_midpoints(self):
+        L, eps = spectrum._strip_half_length(1.0), spectrum.EPS_CONTOUR
+        pts = spectrum._strip_points(L, eps)
+        verts, mids = pts[0::2], pts[1::2]
+        np.testing.assert_allclose(mids, 0.5 * (verts + np.roll(verts, -1)),
+                                   rtol=0, atol=1e-15 * L)
+        xs = spectrum._graded_axis(12.0, 0.25, 1.25, L)
+        assert np.array_equal(verts, np.concatenate(
+            [xs - 1j * eps, [L, L + 1j * eps], xs[::-1] + 1j * eps, [-L]]))
+        assert strip_winding(lambda z: z * z - 1j, L, eps) == 0
+        assert strip_winding(lambda z: z, L, eps) == 1
 
     def test_contour_scale_gets_its_own_strip(self, base_params):
-        spectrum._strip_samples.cache_clear()
+        spectrum._strip_points.cache_clear()
         assert count_zeros(base_params) == 2
         assert count_zeros(base_params, contour_scale=2.0) == 2
-        assert spectrum._strip_samples.cache_info().currsize == 2
+        assert spectrum._strip_points.cache_info().currsize == 2
         for scale in (1.0, 2.0):
             L = spectrum._strip_half_length(scale)
             eps = spectrum.EPS_CONTOUR * scale
-            pts = spectrum._strip_samples(L, eps).points
+            pts = spectrum._strip_points(L, eps)
             assert np.max(pts.real) == L and np.max(pts.imag) == eps
         assert count_zeros(base_params, contour_scale=2.0) == 2
-        assert spectrum._strip_samples.cache_info().currsize == 2
+        assert spectrum._strip_points.cache_info().currsize == 2
 
 
 class TestFindZeros:
@@ -175,12 +185,21 @@ class TestFindZeros:
             assert d == pytest.approx(lam_prime(eta, p), rel=1e-14)
             assert abs(d) > 1e-10                     # simple zero
 
-    def test_zeros_stable_under_search_doubling(self, base_params):
-        p = base_params
-        a = find_zeros(p, 2)
-        b = find_zeros(p, 2, search_scale=2.0)
-        for za, zb in zip(a.zeros, b.zeros):
-            assert abs(za - zb) <= 1e-10 * abs(za)
+    def test_zeros_stable_under_search_doubling(self, panel):
+        # contour_scale=2.0 doubles the strip and the search half-width.
+        points = [p for p, _ in panel] + [make_params(0.1, 0.1, 0.5)]
+        for p in points:
+            n = count_zeros(p)
+            a = find_zeros(p, n)
+            b = find_zeros(p, n, contour_scale=2.0)
+            assert len(a.zeros) == len(b.zeros) == n // 2
+            for za, zb in zip(a.zeros, b.zeros):
+                assert abs(za - zb) <= 1e-10 * abs(za), (p.gamma, za, zb)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected(self, base_params, scale):
+        with pytest.raises(DomainError, match="contour_scale"):
+            find_zeros(base_params, 2, contour_scale=scale)
 
     def test_panel_points(self, panel):
         for p, coeffs in panel:
