@@ -469,12 +469,12 @@ class TestWinding:
             winding_number(lambda z: z, [])
 
     @pytest.mark.parametrize("points", [
-        [1, 1j],                                   # too few to enclose
-        np.ones((2, 4), dtype=complex),            # not 1-d
-        [1, 1j, -1, complex(math.nan, 0.0)],       # not finite
-        [1, 1j, complex(-math.inf, 0.0)],
-        ["a", "b", "c"],                           # not numbers
-        [object(), object(), object()],
+        pytest.param([1, 1j], id="too_few"),
+        pytest.param(np.ones((2, 4), dtype=complex), id="not_1d"),
+        pytest.param([1, 1j, -1, complex(math.nan, 0.0)], id="nan"),
+        pytest.param([1, 1j, complex(-math.inf, 0.0)], id="inf"),
+        pytest.param(["a", "b", "c"], id="strings"),
+        pytest.param([object(), object(), object()], id="objects"),
     ])
     def test_malformed_points_rejected(self, points):
         calls = []
