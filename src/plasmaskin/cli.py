@@ -17,7 +17,6 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -36,14 +35,16 @@ from .oracle import fourier_impedance
 from .solution import compute_coefficients, field_e, field_h, impedance
 
 CSV_HEADER = "gamma,re_Z0,im_Z0,abs_Z0,arg_Z0,n_zeros,eta0_re,eta0_im,status"
+_COLUMNS = CSV_HEADER.split(",")
 DEFAULT_PANEL_GAMMAS = (0.1, 0.5, 0.9, 1.0, 1.3)
 _SPECULARITY_MUS = np.array([0.3, 1.0, 2.2]) * [[1.0], [-1.0]]  # rows: +mu, -mu
-# Sweep rows per shared J quadrature: J costs 1.02 ms a row alone, 0.17 ms
-# in blocks of 9 and 0.15 ms in blocks of 16 (resonance grid, one core).
+# Sweep rows per shared J quadrature and line of continued zeros: J costs
+# 1.02 ms a row alone, 0.17 ms in blocks of 9 and 0.15 ms in blocks of 16;
+# find_zeros on the first row costs 0.18 ms, continuation 0.02 ms a row.
 _SWEEP_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     gamma_start: float
     gamma_end: float
@@ -71,23 +72,26 @@ class SweepSpec:
         return np.linspace(self.gamma_start, self.gamma_end, self.n_points)
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     gamma: float
     re_Z0: float | None = None
     im_Z0: float | None = None
-    abs_Z0: float | None = None
-    arg_Z0: float | None = None
     n_zeros: int | None = None
     eta0_re: float | None = None
     eta0_im: float | None = None
     status: str = "ok"
     detail: str | None = None   # cause of a failed row; JSON output only
 
+    # |Z0| and arg Z0 are derived from Z0, not stored: fewer floats a row.
+    @property
+    def abs_Z0(self) -> float | None:
+        return None if self.re_Z0 is None else math.hypot(self.re_Z0, self.im_Z0)
 
-def _principal_arg(z: complex) -> float:
-    a = math.atan2(z.imag, z.real)
-    return math.pi if a == -math.pi else a
+    @property
+    def arg_Z0(self) -> float | None:   # principal: in (-pi, pi]
+        a = None if self.re_Z0 is None else math.atan2(self.im_Z0, self.re_Z0)
+        return math.pi if a == -math.pi else a
 
 
 def _failed_row(gamma: float, exc: Exception) -> SweepRow:
@@ -101,27 +105,29 @@ def _sweep_row(p, info, J: complex) -> SweepRow:
     z0 = impedance(p, J=J).Z0
     eta0 = info.zeros[0]
     return SweepRow(gamma=p.gamma, re_Z0=z0.real, im_Z0=z0.imag,
-                    abs_Z0=math.hypot(z0.real, z0.imag),
-                    arg_Z0=_principal_arg(z0), n_zeros=info.n_zeros,
-                    eta0_re=eta0.real, eta0_im=eta0.imag, status="ok")
+                    n_zeros=info.n_zeros, eta0_re=eta0.real,
+                    eta0_im=eta0.imag, status="ok")
 
 
 def _sweep_block(tasks) -> list[SweepRow]:
     """Rows for consecutive grid points, sharing one J quadrature.
 
-    Each point's spectrum is analyzed on its own; the points that pass
-    get J from one ``compute_J_many`` call.  If that call raises, J is
-    recomputed point by point, so that each row keeps its own status
-    and cause.
+    The block's spectra are analyzed as one line (``analyze_line``); the
+    points that pass get J from one ``compute_J_many`` call.  If that
+    call raises, J is recomputed point by point, so that each row keeps
+    its own status and cause.
     """
-    rows, ready = [], []
-    for gamma, epsilon, v_c in tasks:
+    rows, ps, ready = [None] * len(tasks), [], []
+    for i, (gamma, epsilon, v_c) in enumerate(tasks):
         try:
-            p = make_params(gamma, epsilon, v_c)
-            ready.append((len(rows), p, _spectrum.analyze(p)))
-            rows.append(None)
+            ps.append((i, make_params(gamma, epsilon, v_c)))
         except Exception as exc:  # keep the sweep going; record the failure
-            rows.append(_failed_row(gamma, exc))
+            rows[i] = _failed_row(gamma, exc)
+    for (i, p), info in zip(ps, _spectrum.analyze_line([p for _, p in ps])):
+        if isinstance(info, Exception):
+            rows[i] = _failed_row(p.gamma, info)
+        else:
+            ready.append((i, p, info))
     try:
         Js = _solution.compute_J_many([p for _, p, _ in ready]) if ready else ()
     except Exception:  # recomputed point by point below
@@ -169,15 +175,14 @@ def _fmt(x) -> str:
 
 def write_rows_csv(rows, stream) -> None:
     w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CSV_HEADER.split(","))
+    w.writerow(_COLUMNS)
     for r in rows:
-        w.writerow([_fmt(v) for v in (r.gamma, r.re_Z0, r.im_Z0, r.abs_Z0,
-                                       r.arg_Z0, r.n_zeros, r.eta0_re,
-                                       r.eta0_im)] + [r.status])
+        w.writerow([_fmt(getattr(r, c)) for c in _COLUMNS[:-1]] + [r.status])
 
 
 def write_rows_json(rows, stream) -> None:
-    json.dump([dataclasses.asdict(r) for r in rows], stream, indent=1)
+    json.dump([{c: getattr(r, c) for c in _COLUMNS + ["detail"]} for r in rows],
+              stream, indent=1)
     stream.write("\n")
 
 

@@ -124,6 +124,11 @@ def lam(z: complex, p: PlasmaParams) -> complex:
 def lam_many(z, p: PlasmaParams) -> np.ndarray:
     """Vectorized dispersion function (principal value on the axis)."""
     z = np.asarray(z, dtype=np.complex128)
+    return 1.0 + (p.b - p.a) * z * z + p.a * _zsq_lambda0_many(z)
+
+
+def _zsq_lambda0_many(z: np.ndarray) -> np.ndarray:
+    """z**2*lambda0(z) on a complex ndarray: the p-independent term of lam."""
     zsq_lam0 = np.empty(z.shape, dtype=np.complex128)
     far = np.abs(z) >= FAR_FIELD_RADIUS
     near = ~far
@@ -132,7 +137,7 @@ def lam_many(z, p: PlasmaParams) -> np.ndarray:
         zsq_lam0[near] = zn * zn * (1.0 + zn * gauss_hilbert_array(zn))
     if far.any():
         zsq_lam0[far] = _zsq_lambda0_far(z[far])
-    return 1.0 + (p.b - p.a) * z * z + p.a * zsq_lam0
+    return zsq_lam0
 
 
 def lam_boundary(mu: float, p: PlasmaParams) -> BoundaryValues:

@@ -301,12 +301,12 @@ def field_h(x, mu, coeffs: SolutionCoefficients, p: PlasmaParams,
 
     ``x`` and ``mu`` broadcast to pairs; h comes back in their shape (a
     complex for two scalars).  h is the discrete sum, the continuum
-    principal value across eta = mu and, for mu > 0, the delta term
-    lam(mu)*A(mu)*exp(-z0*x/mu).  All pairs share one vector quadrature;
-    for mu > 0 the numerator's pole value is subtracted on [0, 2*mu],
-    over which PV int d(eta)/(eta - mu) = 0.  The discrete sum plus the
-    delta term is the quadrature offset, so each pair converges to
-    ``spec`` relative to h.  A call raises if any one pair fails.
+    principal value across eta = mu and, for mu > 0 (at least 1e-300), the
+    delta term lam(mu)*A(mu)*exp(-z0*x/mu).  All pairs share one vector
+    quadrature; for mu > 0 the numerator's pole value is subtracted on
+    [0, 2*mu], over which PV int d(eta)/(eta - mu) = 0.  The discrete sum
+    plus the delta term is the quadrature offset, so each pair converges
+    to ``spec`` relative to h.  A call raises if any one pair fails.
     """
     try:
         xs, mus = np.broadcast_arrays(np.asarray(x, float), np.asarray(mu, float))
@@ -316,6 +316,8 @@ def field_h(x, mu, coeffs: SolutionCoefficients, p: PlasmaParams,
     if not (xs.size and np.isfinite(xs).all() and np.isfinite(mus).all()
             and (xs >= 0.0).all()):
         raise DomainError("need one or more pairs of finite x >= 0, finite mu")
+    if ((mus > 0.0) & (mus < 1e-300)).any():   # the quadrature would overflow
+        raise DomainError("a positive mu must be at least 1e-300")
     zeros = np.array(coeffs.spectrum.zeros, dtype=complex)
     hit = np.argwhere(np.abs(zeros.real - mus[:, None]) < 1e-12)
     if hit.size:

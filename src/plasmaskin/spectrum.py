@@ -19,7 +19,10 @@ Individual zeros are then isolated by recursive rectangle subdivision
 of the upper half plane (counts from counterclockwise windings) and
 polished by Newton iteration with the closed-form derivative; the lower
 zeros are the mirrors -eta.  Of each pair the member satisfying the
-decay condition Re(z0/eta) > 0 is stored.
+decay condition Re(z0/eta) > 0 is stored.  Along a line of points,
+analyze_line continues each point's zeros from the previous point's by
+Newton (Allgower & Georg 2003) where the count certifies them, and
+searches the other points.
 
 Everything is pure computation; results are returned sorted (|eta|
 ascending) and are deterministic.
@@ -37,6 +40,7 @@ import numpy as np
 from . import numerics
 from .dispersion import (
     PlasmaParams,
+    _zsq_lambda0_many,
     lam,
     lam_many,
     lam_prime,
@@ -102,6 +106,14 @@ def _strip_points(L: float, eps: float) -> np.ndarray:
     return pts
 
 
+@functools.lru_cache(maxsize=16)
+def _strip_kernel(L: float, eps: float) -> np.ndarray:
+    """Read-only K = z**2*lambda0(z) on ``_strip_points(L, eps)``."""
+    k = _zsq_lambda0_many(_strip_points(L, eps))
+    k.flags.writeable = False
+    return k
+
+
 def strip_winding(f, L: float, eps: float, *, min_modulus: float = 0.0) -> int:
     """Counterclockwise winding of f along the thin cut-hugging rectangle."""
     return winding_number(f, _strip_points(L, eps), min_modulus=min_modulus)
@@ -130,6 +142,8 @@ def count_zeros(p: PlasmaParams, *, contour_scale: float = 1.0) -> int:
     eps = EPS_CONTOUR * contour_scale
 
     def f(z):
+        if z is _strip_points(L, eps):   # lam_many's formula, cached kernel
+            return 1.0 + (p.b - p.a) * z * z + p.a * _strip_kernel(L, eps)
         return lam_many(z, p)
 
     try:
@@ -240,16 +254,16 @@ def find_zeros(p: PlasmaParams, n: int, *,
         raise BoundaryProximityError(
             "could not isolate the expected number of zeros in the upper "
             "half plane; parameters may sit near the spectral boundary")
+    return _certified(p, n, uppers)
 
-    candidates = []
-    for r in uppers:
-        candidates.extend([r, -r])
-    stored = [z for z in candidates if (p.z0 / z).real > 0.0]
-    if len(stored) != half:
+
+def _certified(p: PlasmaParams, n: int, roots) -> SpectrumInfo:
+    """Sorted SpectrumInfo of the roots' decaying +-members, each simple
+    (else BoundaryProximityError) and within the residual contract."""
+    if any((p.z0 / z).real == 0.0 for z in roots):
         raise BoundaryProximityError(
             "decay-condition selection is ambiguous for the located zeros")
-    stored.sort(key=abs)
-
+    stored = sorted((z if (p.z0 / z).real > 0.0 else -z for z in roots), key=abs)
     derivs = []
     for z in stored:
         d = lam_prime(z, p)
@@ -272,3 +286,36 @@ def analyze(p: PlasmaParams, *, contour_scale: float = 1.0) -> SpectrumInfo:
     """count_zeros followed by find_zeros."""
     return find_zeros(p, count_zeros(p, contour_scale=contour_scale),
                       contour_scale=contour_scale)
+
+
+def _continued(p: PlasmaParams, n: int, prev: SpectrumInfo | Exception):
+    """p's zeros by Newton from prev's, or None unless certified: N counts
+    every zero outside the strip, so there a simple zero is with its mirror
+    a +-eta pair, and for N = 4 two distinct, non-opposite ones are both."""
+    if not isinstance(prev, SpectrumInfo) or prev.n_zeros != n:
+        return None   # prev failed, or the count changed
+    L, eps = _strip_half_length(1.0), EPS_CONTOUR
+    try:
+        info = _certified(p, n, [numerics.newton_refine(
+            lambda z: lam(z, p), lambda z: lam_prime(z, p), z0) for z0 in prev.zeros])
+    except PlasmaSkinError:
+        return None
+    z = info.zeros
+    if any(abs(r.real) <= L and abs(r.imag) <= eps for r in z) or (
+            n == 4 and abs(z[1] - z[0]) <= 1e-8 * abs(z[1])):
+        return None   # a zero inside the strip, or both starts reached one pair
+    return info
+
+
+def analyze_line(ps) -> list:
+    """Per point, :func:`analyze`'s SpectrumInfo or the exception it raises;
+    points after a success with the same count try :func:`_continued`."""
+    out = []
+    for p in ps:
+        try:
+            n = count_zeros(p)
+            info = _continued(p, n, out[-1]) if out else None
+            out.append(find_zeros(p, n) if info is None else info)
+        except Exception as exc:  # the point's outcome, as analyze raises it
+            out.append(exc)
+    return out

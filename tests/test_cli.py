@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from plasmaskin import cli
 from plasmaskin.cli import (
     CSV_HEADER,
+    SweepRow,
     SweepSpec,
     dump_profile,
     main,
@@ -109,15 +111,18 @@ class TestSweep:
 class TestFailedRowDetail:
     @pytest.fixture()
     def rows(self, monkeypatch):
-        def analyze(p):
+        def outcome(p, info):
             if p.gamma < 0.45:
-                raise RuntimeError("spectrum step failed")
+                return RuntimeError("spectrum step failed")
             if p.gamma > 0.55:
-                raise BoundaryProximityError("zero within 1e-9 of the cut")
-            return real_analyze(p)
+                return BoundaryProximityError("zero within 1e-9 of the cut")
+            return info
 
-        real_analyze = cli._spectrum.analyze
-        monkeypatch.setattr(cli._spectrum, "analyze", analyze)
+        def analyze_line(ps):
+            return [outcome(p, info) for p, info in zip(ps, real_line(ps))]
+
+        real_line = cli._spectrum.analyze_line
+        monkeypatch.setattr(cli._spectrum, "analyze_line", analyze_line)
         spec = SweepSpec(gamma_start=0.4, gamma_end=0.6, n_points=3)
         return run_sweep(spec, max_workers=1)
 
@@ -187,6 +192,24 @@ def test_out_file_matches_stdout(tmp_path, capsys, args):
     assert main(args + ["--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == to_stdout.encode()
+
+
+class TestSweepRow:
+    """Rows hold slots only; |Z0| and arg Z0 are derived from Z0."""
+
+    def test_derived_fields_and_json_keys(self):
+        rows = [SweepRow(gamma=1.0, re_Z0=-1.0, im_Z0=-0.0, n_zeros=2,
+                         eta0_re=3.0, eta0_im=-4.0),
+                SweepRow(gamma=2.0, status="error", detail="E: x")]
+        assert rows[0].abs_Z0 == 1.0 and rows[0].arg_Z0 == math.pi
+        assert rows[1].abs_Z0 is None and rows[1].arg_Z0 is None
+        assert not hasattr(rows[0], "__dict__")
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        buf = io.StringIO()
+        write_rows_json(rows, buf)
+        data = json.loads(buf.getvalue())
+        assert [list(d) for d in data] == [CSV_HEADER.split(",") + ["detail"]] * 2
+        assert data[0]["arg_Z0"] == math.pi and data[1]["abs_Z0"] is None
 
 
 class TestCsvRoundTrip:

@@ -367,6 +367,21 @@ class TestFieldH:
         with pytest.raises(DomainError):
             field_h(x, mu, base_coeffs, base_params)
 
+    # Positive mu this small used to overflow in the quadrature (a
+    # RuntimeWarning, then QuadratureError); it is rejected up front.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [5e-324, 1e-310, [0.5, 1e-305]])
+    def test_rejects_tiny_positive_mu(self, panel, mu):
+        p, coeffs = panel[3]
+        with pytest.raises(DomainError, match="positive mu"):
+            field_h(0.0, mu, coeffs, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_mu_continuous_at_zero(self, panel):
+        p, coeffs = panel[3]
+        h = field_h(0.0, [-5e-324, 0.0, 1e-299], coeffs, p)
+        assert np.all(np.abs(h - h[1]) <= 1e-9 * abs(h[1]))
+
     def test_pairs_broadcast(self, base_params, base_coeffs):
         h = field_h(0.0, 0.5, base_coeffs, base_params)
         assert type(h) is complex

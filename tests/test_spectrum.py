@@ -18,8 +18,9 @@ from plasmaskin import (
     make_params,
 )
 from plasmaskin import numerics, spectrum
+from plasmaskin.cli import _SWEEP_BLOCK, SweepSpec, run_sweep
 from plasmaskin.dispersion import lam_many
-from plasmaskin.spectrum import Region, strip_winding
+from plasmaskin.spectrum import Region, SpectrumInfo, strip_winding
 
 
 class TestStripCount:
@@ -156,6 +157,35 @@ class TestStripCache:
             [xs - 1j * eps, [L, L + 1j * eps], xs[::-1] + 1j * eps, [-L]]))
         assert strip_winding(lambda z: z * z - 1j, L, eps) == 0
         assert strip_winding(lambda z: z, L, eps) == 1
+
+    @pytest.mark.parametrize("epsilon, v_c", [
+        (1e-3, 1e-3), (1e-3, 0.5), (1e-2, 0.1), (1e-4, 0.177), (0.1, 0.5)])
+    def test_cached_kernel_gives_lam_many_bits(self, epsilon, v_c,
+                                               monkeypatch):
+        # count_zeros' lam on the strip's own points comes from the cached
+        # kernel, without lam_many, and equals lam_many bit for bit.
+        L, eps = spectrum._strip_half_length(1.0), spectrum.EPS_CONTOUR
+        pts = spectrum._strip_points(L, eps)
+        kernel = spectrum._strip_kernel(L, eps)
+        assert not kernel.flags.writeable and kernel.shape == pts.shape
+        many_calls, strip_values = [], []
+        monkeypatch.setattr(spectrum, "lam_many",
+                            lambda z, p: many_calls.append(z) or lam_many(z, p))
+        real_winding = spectrum.strip_winding
+
+        def spy(f, *args, **kwargs):
+            strip_values.append(f(pts))
+            return real_winding(f, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "strip_winding", spy)
+        for g in np.linspace(0.01, 2.0, 201):
+            p = make_params(float(g), epsilon, v_c)
+            many_calls.clear()
+            _outcome(count_zeros, p)
+            assert many_calls == [] or many_calls[0] is not pts
+            bits = strip_values[-1].view(np.int64)
+            assert np.array_equal(bits, lam_many(pts, p).view(np.int64))
+        assert len(strip_values) == 201
 
     def test_contour_scale_gets_its_own_strip(self, base_params):
         spectrum._strip_points.cache_clear()
@@ -317,3 +347,163 @@ class TestDeepZeroRegime:
         h = abs(eta) * 1e-6
         fd = (lam(eta + h, p) - lam(eta - h, p)) / (2.0 * h)
         assert info.lambda_prime_at_zeros[0] == pytest.approx(fd, rel=1e-8)
+
+
+def _analyzed(p):
+    try:
+        return spectrum.analyze(p)
+    except Exception as exc:
+        return exc
+
+
+# 65-point lines: the resonance sweep, and the log sweep at (1e-2, 0.1),
+# whose count drops from 4 to 2 at its fifth point.
+_LINES = {
+    "resonance": (np.linspace(0.9, 1.1, 65), 1e-3, 1e-3),
+    "log": (np.geomspace(0.01, 2.0, 65), 1e-2, 0.1),
+}
+
+
+def _line(name):
+    gammas, epsilon, v_c = _LINES[name]
+    return [make_params(float(g), epsilon, v_c) for g in gammas]
+
+
+class TestAnalyzeLine:
+    """analyze_line continues each point's zeros from the previous point's
+    and gives what per-point analyze gives."""
+
+    @staticmethod
+    def spy_find_zeros(monkeypatch):
+        calls = []
+        real = spectrum.find_zeros
+
+        def spy(p, n, **kwargs):
+            calls.append(p.gamma)
+            return real(p, n, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_zeros", spy)
+        return calls
+
+    @staticmethod
+    def force_continuation(monkeypatch, ps, forced):
+        """Newton from a per-point zero (a continuation start) returns
+        forced(real_newton, f, fprime, start); the search's own Newton
+        runs are left alone."""
+        starts = {z for p in ps for z in getattr(_analyzed(p), "zeros", ())}
+        real = numerics.newton_refine
+
+        def patched(f, fprime, z0, *args, **kwargs):
+            if z0 in starts:
+                return forced(real, f, fprime, z0)
+            return real(f, fprime, z0, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "newton_refine", patched)
+
+    @pytest.mark.parametrize("name", sorted(_LINES))
+    def test_line_matches_per_point_analyze(self, name, monkeypatch):
+        ps = _line(name)
+        ref = [_analyzed(p) for p in ps]
+        calls = self.spy_find_zeros(monkeypatch)
+        out = spectrum.analyze_line(ps)
+        assert len(out) == len(ps)
+        # Only the first point and the point where N changes are searched.
+        assert len(calls) == (2 if name == "log" else 1)
+        assert [r.n_zeros for r in out] == [r.n_zeros for r in ref]
+        for r, r_ref in zip(out, ref):
+            assert r.region is r_ref.region
+            for z, z_ref in zip(r.zeros, r_ref.zeros, strict=True):
+                assert abs(z - z_ref) <= 1e-13 * abs(z_ref)
+            for d, d_ref in zip(r.lambda_prime_at_zeros,
+                                r_ref.lambda_prime_at_zeros, strict=True):
+                assert abs(d - d_ref) <= 1e-12 * abs(d_ref)
+
+    def test_failed_point_restarts_the_search(self):
+        # At v_c = 0.5 the count declines the points past gamma ~ 1.2.
+        gammas = np.linspace(1.1, 1.3, 9)
+        ps = [make_params(float(g), 1e-3, 0.5) for g in gammas]
+        out = spectrum.analyze_line(ps)
+        ref = [_analyzed(p) for p in ps]
+        kinds = [type(r) for r in out]
+        assert kinds == [type(r) for r in ref]
+        assert BoundaryProximityError in kinds and SpectrumInfo in kinds
+        for r, r_ref in zip(out, ref):
+            if isinstance(r, Exception):
+                assert str(r) == str(r_ref)
+
+    @pytest.mark.parametrize("name, forced", [
+        ("resonance", "newton_error"),
+        ("log", "newton_error"),
+        ("log", "same_zero"),
+        ("log", "mirror_zero"),
+    ])
+    def test_rejected_continuation_falls_back(self, name, forced, monkeypatch):
+        # The log line's first four points have N = 4, the next four N = 2.
+        n_points = 4 if forced.endswith("_zero") else 8
+        ps = _line(name)[:n_points]
+        ref = [_analyzed(p) for p in ps]
+        first = []
+
+        def force(real, f, fprime, z0):
+            if forced == "newton_error":
+                raise NewtonError("injected failure", [z0])
+            # N = 4: each point's second start lands on its first start's
+            # zero, or on that zero's mirror.
+            if len(first) % 2 == 0:
+                first.append(real(f, fprime, z0))
+            else:
+                first.append(first[-1] if forced == "same_zero" else -first[-1])
+            return first[-1]
+
+        self.force_continuation(monkeypatch, ps, force)
+        calls = self.spy_find_zeros(monkeypatch)
+        out = spectrum.analyze_line(ps)
+        assert out == ref
+        assert len(calls) == len(ps)
+        if forced.endswith("_zero"):
+            assert [r.n_zeros for r in ref] == [4] * 4
+
+    def test_newton_failure_gives_per_point_rows(self, monkeypatch):
+        spec = SweepSpec(gamma_start=0.9, gamma_end=1.1, n_points=20)
+        ps = [make_params(float(g), spec.epsilon, spec.v_c)
+              for g in spec.grid()]
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "analyze_line",
+                      lambda ps: [_analyzed(p) for p in ps])
+            per_point = run_sweep(spec, max_workers=1)
+
+        def fail(real, f, fprime, z0):
+            raise NewtonError("injected failure", [z0])
+
+        self.force_continuation(monkeypatch, ps, fail)
+        assert run_sweep(spec, max_workers=1) == per_point
+
+    @pytest.mark.parametrize("widen", [False, True])
+    def test_root_inside_strip_falls_back(self, widen, monkeypatch):
+        # Count and search are replayed from per-point runs; widening the
+        # strip puts every continued zero inside it.
+        ps = _line("resonance")[:8]
+        ref = {p: spectrum.analyze(p) for p in ps}
+        calls = []
+
+        def find_zeros(p, n):
+            calls.append(p)
+            return ref[p]
+
+        monkeypatch.setattr(spectrum, "count_zeros", lambda p: ref[p].n_zeros)
+        monkeypatch.setattr(spectrum, "find_zeros", find_zeros)
+        if widen:
+            monkeypatch.setattr(spectrum, "_strip_half_length", lambda s: 1e300)
+            monkeypatch.setattr(spectrum, "EPS_CONTOUR", 1e300)
+        out = spectrum.analyze_line(ps)
+        assert len(calls) == (len(ps) if widen else 1)
+        if widen:
+            assert out == list(ref.values())
+
+    def test_sweep_searches_once_per_block(self, monkeypatch):
+        calls = self.spy_find_zeros(monkeypatch)
+        spec = SweepSpec(gamma_start=0.9, gamma_end=1.1, n_points=401)
+        rows = run_sweep(spec, max_workers=1)
+        assert [r.status for r in rows] == ["ok"] * 401
+        blocks = -(-401 // _SWEEP_BLOCK)
+        assert len(calls) == blocks == 26
