@@ -38,9 +38,10 @@ CSV_HEADER = "gamma,re_Z0,im_Z0,abs_Z0,arg_Z0,n_zeros,eta0_re,eta0_im,status"
 _COLUMNS = CSV_HEADER.split(",")
 DEFAULT_PANEL_GAMMAS = (0.1, 0.5, 0.9, 1.0, 1.3)
 _SPECULARITY_MUS = np.array([0.3, 1.0, 2.2]) * [[1.0], [-1.0]]  # rows: +mu, -mu
-# Sweep rows per shared J quadrature and line of continued zeros: J costs
-# 1.02 ms a row alone, 0.17 ms in blocks of 9 and 0.15 ms in blocks of 16;
-# find_zeros on the first row costs 0.18 ms, continuation 0.02 ms a row.
+# Sweep rows per shared J quadrature and line of continued zeros: on the
+# resonance sweep J costs 0.67 ms a row alone, 0.074 ms in blocks of 9 and
+# 0.049 ms in blocks of 16; find_zeros on the first row costs 0.16 ms,
+# continuation 0.02 ms a row.
 _SWEEP_BLOCK = 16
 
 
@@ -75,23 +76,38 @@ class SweepSpec:
 @dataclass(slots=True)
 class SweepRow:
     gamma: float
-    re_Z0: float | None = None
-    im_Z0: float | None = None
+    Z0: complex | None = None
     n_zeros: int | None = None
-    eta0_re: float | None = None
-    eta0_im: float | None = None
+    eta0: complex | None = None
     status: str = "ok"
     detail: str | None = None   # cause of a failed row; JSON output only
 
-    # |Z0| and arg Z0 are derived from Z0, not stored: fewer floats a row.
+    # The output columns are derived from Z0 and eta0, not stored: a row
+    # holds two complex numbers rather than six floats.
+    @property
+    def re_Z0(self) -> float | None:
+        return None if self.Z0 is None else self.Z0.real
+
+    @property
+    def im_Z0(self) -> float | None:
+        return None if self.Z0 is None else self.Z0.imag
+
     @property
     def abs_Z0(self) -> float | None:
-        return None if self.re_Z0 is None else math.hypot(self.re_Z0, self.im_Z0)
+        return None if self.Z0 is None else math.hypot(self.Z0.real, self.Z0.imag)
 
     @property
     def arg_Z0(self) -> float | None:   # principal: in (-pi, pi]
-        a = None if self.re_Z0 is None else math.atan2(self.im_Z0, self.re_Z0)
+        a = None if self.Z0 is None else math.atan2(self.Z0.imag, self.Z0.real)
         return math.pi if a == -math.pi else a
+
+    @property
+    def eta0_re(self) -> float | None:
+        return None if self.eta0 is None else self.eta0.real
+
+    @property
+    def eta0_im(self) -> float | None:
+        return None if self.eta0 is None else self.eta0.imag
 
 
 def _failed_row(gamma: float, exc: Exception) -> SweepRow:
@@ -102,20 +118,17 @@ def _failed_row(gamma: float, exc: Exception) -> SweepRow:
 
 
 def _sweep_row(p, info, J: complex) -> SweepRow:
-    z0 = impedance(p, J=J).Z0
-    eta0 = info.zeros[0]
-    return SweepRow(gamma=p.gamma, re_Z0=z0.real, im_Z0=z0.imag,
-                    n_zeros=info.n_zeros, eta0_re=eta0.real,
-                    eta0_im=eta0.imag, status="ok")
+    return SweepRow(gamma=p.gamma, Z0=impedance(p, J=J).Z0,
+                    n_zeros=info.n_zeros, eta0=complex(info.zeros[0]))
 
 
 def _sweep_block(tasks) -> list[SweepRow]:
     """Rows for consecutive grid points, sharing one J quadrature.
 
     The block's spectra are analyzed as one line (``analyze_line``); the
-    points that pass get J from one ``compute_J_many`` call.  If that
-    call raises, J is recomputed point by point, so that each row keeps
-    its own status and cause.
+    points that pass get J from one ``compute_J_many`` call on their
+    spectra.  If that call raises, J is recomputed point by point
+    (``compute_J``), so that each row keeps its own status and cause.
     """
     rows, ps, ready = [None] * len(tasks), [], []
     for i, (gamma, epsilon, v_c) in enumerate(tasks):
@@ -129,7 +142,8 @@ def _sweep_block(tasks) -> list[SweepRow]:
         else:
             ready.append((i, p, info))
     try:
-        Js = _solution.compute_J_many([p for _, p, _ in ready]) if ready else ()
+        Js = _solution.compute_J_many([p for _, p, _ in ready],
+                                      [info for *_, info in ready]) if ready else ()
     except Exception:  # recomputed point by point below
         Js = None
     for k, (i, p, info) in enumerate(ready):
@@ -159,7 +173,10 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepRow]
     if max_workers <= 1 or len(blocks) < 2:
         return [row for b in blocks for row in _sweep_block(b)]
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as ex:
+        # Under fork the pool starts all its workers at once: no more
+        # than there are blocks.
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(max_workers, len(blocks))) as ex:
             return [row for rows in ex.map(_sweep_block, blocks) for row in rows]
     except (OSError, PermissionError):
         return [row for b in blocks for row in _sweep_block(b)]
@@ -268,9 +285,12 @@ def _load_panel(path: str):
     if not isinstance(data, list):
         raise DomainError(f"panel {path} must hold a JSON list of points")
     try:
-        return [(float(d["gamma"]), float(d["epsilon"]), float(d["v_c"]))
-                for d in data]
-    except (KeyError, TypeError, ValueError) as exc:
+        points = [tuple(d[k] for k in ("gamma", "epsilon", "v_c")) for d in data]
+        bad = [v for pt in points for v in pt if isinstance(v, (bool, str))]
+        if bad:
+            raise TypeError(f"{bad[0]!r} is not a number")
+        return [tuple(map(float, pt)) for pt in points]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(f"panel {path}: each point needs numeric gamma, "
                           f"epsilon and v_c ({type(exc).__name__}: {exc})") from exc
 

@@ -7,6 +7,13 @@ form from the boundary-value structure of 1/lam:
     C1   = e_s / (a*z0*J)
     B_k  = A_k * eta_k**2 * exp(-eta_k**2) = -sqrt(pi)*C1 / lam'(eta_k)
 
+J of one point (:func:`compute_J`, and through it :func:`impedance` and
+:func:`compute_coefficients`) needs no spectrum: a scan for the minima
+of |lam(i*tau)| seeds its panels.  A sweep block's J
+(:func:`compute_J_many`) comes from the block's spectra: the pole pairs
+of 1/lam at the discrete zeros are subtracted from the integrand and
+added back in closed form, so the remainder is smooth.
+
 B_k (the amplitude folded with its Gaussian weight) is the stored
 quantity: the raw A_k involve exp(+eta_k**2), which overflows the double
 range whenever Re(eta_k**2) is large and negative-definite quantities
@@ -110,91 +117,99 @@ class ImpedanceResult:
     Z0: complex
 
 
-def _imag_axis_integrand(ps):
-    """1/lam(i*tau) for each point of ps: shape (k,) for one point, else (k, m).
-
-    lam(i*tau) is affine in (a, b), so m points share one evaluation of
-    the p-independent term tau**2*lambda0(i*tau) per call.
-    """
-    if len(ps) == 1:
-        p = ps[0]
-
-        def lam_of(tau):
-            return lam_imag_axis(tau, p)
-    else:
-        b_minus_a = np.array([p.b - p.a for p in ps])
-        a = np.array([p.a for p in ps])
-
-        def lam_of(tau):
-            tau = np.asarray(tau, dtype=float)
-            return (1.0 - (tau * tau)[:, None] * b_minus_a
-                    - _tau2_lambda0(tau)[:, None] * a)
-
-    def f(tau):
-        vals = lam_of(tau)
-        m = np.abs(vals)
-        if m.size and np.min(m) < _LAM_FLOOR:
-            i, row = divmod(int(np.argmin(m)), len(ps))
-            raise SpectralDegeneracyError(
-                f"dispersion function vanishes on the imaginary axis near "
-                f"tau = {np.asarray(tau).ravel()[i]:.6g} at gamma = "
-                f"{ps[row].gamma:.17g}")
-        return 1.0 / vals
-    return f
+def _reciprocal_on_axis(vals, tau, ps):
+    """1/lam(i*tau) from lam's values at the nodes tau, one column per
+    point of ps; raises :class:`SpectralDegeneracyError` naming the
+    point's gamma where |lam| falls below the floor."""
+    m = np.abs(vals)
+    if m.size and np.min(m) < _LAM_FLOOR:
+        i, row = divmod(int(np.argmin(m)), len(ps))
+        raise SpectralDegeneracyError(
+            f"dispersion function vanishes on the imaginary axis near "
+            f"tau = {np.asarray(tau).ravel()[i]:.6g} at gamma = "
+            f"{ps[row].gamma:.17g}")
+    return 1.0 / vals
 
 
-def _spike_breakpoints(ps, scales) -> np.ndarray:
-    """tau positions where |lam(i*tau)| has sharp minima (near-zeros).
-
-    Each point of ``ps`` is scanned on its own geometric grid around its
-    scale; one evaluation of tau**2*lambda0(i*tau) serves every grid, as
-    lam(i*tau) is affine in (a, b).  The minima of all points come back
-    in one array, point by point.
-    """
-    taus = np.geomspace(1e-3 * np.asarray(scales), 1e3 * np.asarray(scales),
-                        600, axis=-1)
-    a = np.array([[p.a] for p in ps])
-    b_minus_a = np.array([[p.b - p.a] for p in ps])
-    mods = np.abs(1.0 - b_minus_a * (taus * taus) - a * _tau2_lambda0(taus))
-    mid = mods[:, 1:-1]
-    return taus[:, 1:-1][(mid < mods[:, :-2]) & (mid < mods[:, 2:]) & (mid < 0.5)]
+def _spike_breakpoints(p: PlasmaParams, scale: float) -> np.ndarray:
+    """tau positions where |lam(i*tau)| has sharp minima (near-zeros),
+    from a 600-point geometric scan around ``scale``."""
+    taus = np.geomspace(1e-3 * scale, 1e3 * scale, 600)
+    mods = np.abs(lam_imag_axis(taus, p))
+    mid = mods[1:-1]
+    return taus[1:-1][(mid < mods[:-2]) & (mid < mods[2:]) & (mid < 0.5)]
 
 
-def compute_J_many(ps, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """J = (1/pi) int_0^oo dtau/lam(i*tau) for each of a sequence of points.
+def _pole_pairs(spectra):
+    """eta_k, r_k = 1/lam'(eta_k) and int_0^oo S_k(i*tau) dtau of each
+    spectrum's pole pairs, as (points, 2) arrays; an N = 2 point's
+    second pair has r = 0."""
+    eta = np.ones((len(spectra), 2), complex)
+    r = np.zeros((len(spectra), 2), complex)
+    for j, info in enumerate(spectra):
+        eta[j, :len(info.zeros)] = info.zeros
+        r[j, :len(info.zeros)] = np.reciprocal(info.lambda_prime_at_zeros)
+    return eta, r, -math.pi * r * eta / np.where(eta.real > 0.0, eta, -eta)
 
-    One vector quadrature on a shared panel set: each integrand call
-    evaluates the p-independent part of lam(i*tau) once for all points,
-    and each J converges to ``spec.rel_tol`` of itself.  The map of the
-    half line uses the median_low of the per-point scales, and the
-    subdivision is seeded with the union of the per-point spike
-    breakpoints.  For one point this is exactly :func:`compute_J`;
-    for several, each J agrees with it to the quadrature tolerance, not
-    bit for bit.  A degenerate point raises
+
+# Seeds of a block's panels: tau/scale at u = k/8, k = 1..7, of the map
+# tau = scale*u/(1 - u).
+_BLOCK_SEEDS = np.arange(1.0, 8.0) / np.arange(7.0, 0.0, -1.0)
+
+
+def compute_J_many(ps, spectra, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
+    """J = (1/pi) int_0^oo dtau/lam(i*tau) for a block of points, from
+    their spectra (one :class:`SpectrumInfo` per point).
+
+    Each zero pair +-eta_k, with r_k = 1/lam'(eta_k), is a pole pair
+    S_k(z) = 2*r_k*eta_k/(z**2 - eta_k**2) of 1/lam.  One vector
+    quadrature on a shared panel set integrates the smooth remainder
+    1/lam(i*tau) - sum_k S_k(i*tau), and the poles come back in closed
+    form, int_0^oo S_k(i*tau) dtau = -pi*r_k*eta_k/c_k with c_k = +-eta_k,
+    Re c_k > 0, as the quadrature offset: each J converges to
+    ``spec.rel_tol`` of itself.  The identity holds for any eta and r, so
+    an inexact zero costs panels, not accuracy.  The panels are seeded on
+    a fixed grid of the map of the half line, on the median_low of the
+    points' scales.  Each J agrees with :func:`compute_J` to the
+    quadrature tolerance, not bit for bit.  A degenerate point raises
     :class:`SpectralDegeneracyError` naming its gamma.
     """
-    ps = list(ps)
-    if not ps:
-        raise DomainError("need at least one parameter point")
-    scales = [max(1.0, zero_scale_estimate(p)) for p in ps]
-    bps = _spike_breakpoints(ps, scales)
-    val = integrate_semi_infinite(_imag_axis_integrand(ps), spec,
-                                  scale=statistics.median_low(scales),
-                                  breakpoints=bps)
-    return np.atleast_1d(val / math.pi)
+    ps, spectra = list(ps), list(spectra)
+    if not ps or len(spectra) != len(ps):
+        raise DomainError("need one spectrum for each of one or more points")
+    a = np.array([p.a for p in ps])
+    b_minus_a = np.array([p.b - p.a for p in ps])
+    eta, r, closed = _pole_pairs(spectra)
+    poles = np.sum(closed, axis=1)
+    two_r_eta, eta2 = 2.0 * r * eta, eta * eta
+
+    def remainder(tau):
+        tau = np.asarray(tau, dtype=float)
+        t2 = (tau * tau)[:, None]
+        vals = 1.0 - t2 * b_minus_a - _tau2_lambda0(tau)[:, None] * a
+        return (_reciprocal_on_axis(vals, tau, ps)
+                + np.sum(two_r_eta / (t2[..., None] + eta2), axis=-1))
+
+    scale = statistics.median_low([max(1.0, zero_scale_estimate(p)) for p in ps])
+    val = integrate_semi_infinite(remainder, spec, scale=scale,
+                                  breakpoints=scale * _BLOCK_SEEDS, offset=poles)
+    return (val + poles) / math.pi
 
 
 def compute_J(p: PlasmaParams, spec: QuadratureSpec = DEFAULT_QUAD, *,
               path: str = "erfcx") -> complex:
     """The imaginary-axis integral J = (1/pi) int_0^oo dtau/lam(i*tau).
 
-    ``path`` selects the evaluation of lam on the axis: "erfcx" (stable
-    closed form, default; :func:`compute_J_many` of the one point) or
-    "complex" (the general off-axis formula at z = i*tau), kept as an
-    independent cross-check route.
+    Needs no spectrum.  ``path`` selects the evaluation of lam on the
+    axis: "erfcx" (stable closed form, default) or "complex" (the general
+    off-axis formula at z = i*tau), kept as an independent cross-check
+    route.  Either is one scalar quadrature on the point's own scale,
+    seeded at the minima of a |lam(i*tau)| scan.
     """
     if path == "erfcx":
-        return complex(compute_J_many([p], spec)[0])
+        return _one_point_J(
+            lambda tau: _reciprocal_on_axis(lam_imag_axis(tau, p), tau, [p]),
+            p, spec)
     if path != "complex":
         raise DomainError(f"unknown path {path!r}")
     return _one_point_J(
@@ -205,7 +220,7 @@ def compute_J(p: PlasmaParams, spec: QuadratureSpec = DEFAULT_QUAD, *,
 def _one_point_J(f, p: PlasmaParams, spec: QuadratureSpec) -> complex:
     """(1/pi) int_0^oo f(tau) dtau on the panels seeded for p alone."""
     scale = max(1.0, zero_scale_estimate(p))
-    bps = _spike_breakpoints([p], [scale])
+    bps = _spike_breakpoints(p, scale)
     return integrate_semi_infinite(f, spec, scale=scale, breakpoints=bps) / math.pi
 
 

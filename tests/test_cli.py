@@ -152,6 +152,32 @@ class TestSweepBlocks:
                          n_points=2 * cli._SWEEP_BLOCK + 3)
         assert run_sweep(spec, max_workers=1) == run_sweep(spec, max_workers=2)
 
+    def test_pool_is_no_larger_than_the_blocks(self, monkeypatch):
+        # A stand-in executor: it records the pool size and maps serially,
+        # so no process starts.
+        sizes = []
+
+        class Serial:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            Serial)
+        spec = SweepSpec(gamma_start=0.9, gamma_end=1.1,
+                         n_points=2 * cli._SWEEP_BLOCK + 1)
+        assert run_sweep(spec, max_workers=64) == run_sweep(spec, max_workers=1)
+        assert run_sweep(spec, max_workers=2)
+        assert sizes == [3, 2]
+
     def test_block_agrees_with_single_point_impedance(self):
         spec = SweepSpec(gamma_start=0.95, gamma_end=1.05, n_points=5)
         for r in run_sweep(spec, max_workers=1):
@@ -195,11 +221,11 @@ def test_out_file_matches_stdout(tmp_path, capsys, args):
 
 
 class TestSweepRow:
-    """Rows hold slots only; |Z0| and arg Z0 are derived from Z0."""
+    """Rows hold slots only; the Z0 and eta0 columns are derived."""
 
     def test_derived_fields_and_json_keys(self):
-        rows = [SweepRow(gamma=1.0, re_Z0=-1.0, im_Z0=-0.0, n_zeros=2,
-                         eta0_re=3.0, eta0_im=-4.0),
+        rows = [SweepRow(gamma=1.0, Z0=complex(-1.0, -0.0), n_zeros=2,
+                         eta0=complex(3.0, -4.0)),
                 SweepRow(gamma=2.0, status="error", detail="E: x")]
         assert rows[0].abs_Z0 == 1.0 and rows[0].arg_Z0 == math.pi
         assert rows[1].abs_Z0 is None and rows[1].arg_Z0 is None
@@ -376,6 +402,12 @@ class TestSelfcheck:
         ('[{"gamma": 0.5,', "not valid JSON"),
         ('[{"gamma": 0.5, "epsilon": 1e-3}]', "needs numeric gamma"),
         ('{"gamma": 0.5, "epsilon": 1e-3, "v_c": 1e-3}', "JSON list"),
+        # make_params rejects bools, and float() would read "0.001".
+        ('[{"gamma": true, "epsilon": 1e-3, "v_c": 1e-3}]', "True is not a number"),
+        ('[{"gamma": 0.5, "epsilon": "0.001", "v_c": 1e-3}]',
+         "'0.001' is not a number"),
+        pytest.param('[{"gamma": 0.5, "epsilon": 1e-3, "v_c": 1%s}]' % ("0" * 400),
+                     "int too large", id="int_overflow"),
     ])
     def test_malformed_panel_is_a_usage_error(self, tmp_path, capsys,
                                               text, message):

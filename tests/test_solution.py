@@ -2,6 +2,7 @@
 identity residuals."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from plasmaskin import (
     BoundaryProximityError,
     DomainError,
+    QuadratureError,
     SpectralDegeneracyError,
     analyze,
     check_residue_identity,
@@ -46,6 +48,7 @@ from plasmaskin.solution import (
     residual_field_normalization,
 )
 from plasmaskin.specfun import SQRT_PI
+from plasmaskin.spectrum import analyze_line
 
 
 class TestComputeJ:
@@ -79,51 +82,146 @@ class TestComputeJ:
         assert abs(J_tiny) > 1e3 * abs(J_base)
 
 
-class TestComputeJMany:
-    _TIGHT = QuadratureSpec(rel_tol=1e-14)
+def _reference_J(p):
+    """J at rel_tol 1e-14, or its best estimate where rounding stops the
+    quadrature short of that, with a bound within 1e-12 of J."""
+    try:
+        return compute_J(p, QuadratureSpec(rel_tol=1e-14))
+    except QuadratureError as exc:
+        assert exc.error_bound <= 1e-12 * abs(exc.estimate)
+        return exc.estimate / math.pi
 
-    @pytest.mark.parametrize("ps", [
-        [make_params(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 64)],
-        # A sweep_wide-like block: six log-spaced gammas over a quarter decade.
-        [make_params(float(g), 3e-4, 0.05) for g in np.geomspace(0.2, 0.356, 6)],
-    ], ids=["resonance", "log_block"])
-    def test_blocks_match_tight_reference(self, ps):
-        ref = np.array([compute_J(p, self._TIGHT) for p in ps])
-        blocks = np.concatenate([compute_J_many(ps[i:i + _SWEEP_BLOCK])
-                                 for i in range(0, len(ps), _SWEEP_BLOCK)])
-        per_row = np.array([compute_J(p) for p in ps])
-        blk_err = np.max(np.abs(blocks - ref) / np.abs(ref))
-        row_err = np.max(np.abs(per_row - ref) / np.abs(ref))
-        assert blk_err <= 1e-10
-        # No worse than one quadrature per row, or within the tolerance.
-        assert blk_err <= max(row_err, DEFAULT_QUAD.rel_tol)
+
+def _assert_near_reference(J, ps, ref):
+    """Within 1e-10 of the reference, and no worse than one quadrature
+    per point or within the default tolerance."""
+    err = np.max(np.abs(J - ref) / np.abs(ref))
+    row_err = max(abs(compute_J(p) - r) / abs(r) for p, r in zip(ps, ref))
+    assert err <= 1e-10
+    assert err <= max(row_err, DEFAULT_QUAD.rel_tol)
+
+
+def _sweep_spectra(ps):
+    """Spectra as a sweep analyzes them, line by line in its blocks."""
+    return [info for i in range(0, len(ps), _SWEEP_BLOCK)
+            for info in analyze_line(ps[i:i + _SWEEP_BLOCK])]
+
+
+_J_BLOCKS = {
+    "resonance": [(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 64)],
+    # A sweep_wide-like block: six log-spaced gammas over a quarter decade.
+    "log_block": [(float(g), 3e-4, 0.05) for g in np.geomspace(0.2, 0.356, 6)],
+    # A block of a log sweep over [0.01, 2] in which N drops from 4 to 2.
+    "n_changes": [(float(g), 1e-2, 0.1)
+                  for g in np.geomspace(1e-2, 2.0, 401)[16:32]],
+}
+
+
+class TestComputeJMany:
+    @pytest.fixture(scope="class", params=list(_J_BLOCKS))
+    def block(self, request):
+        ps = [make_params(*pt) for pt in _J_BLOCKS[request.param]]
+        spectra = _sweep_spectra(ps)
+        if request.param == "n_changes":
+            assert {info.n_zeros for info in spectra} == {2, 4}
+        return ps, spectra, np.array([_reference_J(p) for p in ps])
+
+    @staticmethod
+    def _by_blocks(ps, spectra):
+        return np.concatenate([
+            compute_J_many(ps[i:i + _SWEEP_BLOCK], spectra[i:i + _SWEEP_BLOCK])
+            for i in range(0, len(ps), _SWEEP_BLOCK)])
+
+    def test_blocks_match_tight_reference(self, block):
+        ps, spectra, ref = block
+        _assert_near_reference(self._by_blocks(ps, spectra), ps, ref)
+
+    def test_perturbed_zeros_cost_work_not_accuracy(self, block):
+        # The closed form is exact for any eta: a zero off by 1e-3
+        # leaves a steeper remainder, which takes more panels.
+        ps, spectra, ref = block
+        off = [dataclasses.replace(info, zeros=tuple(z * (1.0 + 1e-3)
+                                                     for z in info.zeros))
+               for info in spectra]
+        _assert_near_reference(self._by_blocks(ps, off), ps, ref)
+
+    @pytest.mark.parametrize("point, n", [((0.5, 1e-3, 1e-3), 2),
+                                          ((0.01, 1e-2, 0.1), 4)],
+                             ids=["N2", "N4"])
+    def test_closed_form_pole_integrals(self, point, n):
+        info = analyze(make_params(*point))
+        eta, r, closed = solution._pole_pairs([info])
+        assert info.n_zeros == n and len(info.zeros) == n // 2
+        for k in range(len(info.zeros)):
+            num = integrate_semi_infinite(
+                lambda t: -2.0 * r[0, k] * eta[0, k] / (t * t + eta[0, k] ** 2),
+                QuadratureSpec(rel_tol=1e-14), scale=abs(eta[0, k]),
+                breakpoints=[abs(eta[0, k])])
+            assert abs(num - closed[0, k]) <= 1e-13 * abs(closed[0, k])
+        assert r[0, len(info.zeros):].tolist() == [0.0] * (2 - len(info.zeros))
+        # -eta_k with lam'(-eta_k) = -lam'(eta_k) is the same pole pair.
+        mirror = dataclasses.replace(
+            info, zeros=tuple(-z for z in info.zeros),
+            lambda_prime_at_zeros=tuple(-d for d in info.lambda_prime_at_zeros))
+        assert np.array_equal(solution._pole_pairs([mirror])[2], closed)
+
+    def test_resonance_sweep_work_is_bounded(self, monkeypatch):
+        # Integrand calls per block on the 401-row resonance grid: median
+        # 5, max 7.  The scan-seeded quadrature without the subtraction
+        # made a median of 8.5 and up to 12.
+        ps = [make_params(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 401)]
+        spectra = _sweep_spectra(ps)
+        calls = []
+        quad = numerics.integrate_finite
+
+        def counted(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(x):
+                calls[-1] += 1
+                return f(x)
+            return quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "integrate_finite", counted)
+        self._by_blocks(ps, spectra)
+        assert len(calls) == len(range(0, 401, _SWEEP_BLOCK))
+        assert np.median(calls) <= 6 and max(calls) <= 8
 
     @pytest.mark.parametrize("point", [(1e-3, 1e-3, 1e-3), (0.5, 1e-3, 1e-3),
                                        (0.95, 1e-4, 0.3), (1.3, 1e-2, 0.3)])
     def test_single_point_is_compute_J_bit_for_bit(self, point):
         p = make_params(*point)
         J = compute_J(p)
-        assert J == compute_J_many([p])[0]
         # The single-point recipe, spelled out: a scalar integrand on the
         # point's own scale and spike breakpoints.
         scale = max(1.0, zero_scale_estimate(p))
         val = integrate_semi_infinite(lambda t: 1.0 / lam_imag_axis(t, p),
                                       scale=scale,
-                                      breakpoints=_spike_breakpoints([p], [scale]))
+                                      breakpoints=_spike_breakpoints(p, scale))
         assert J == val / math.pi
+        # A block of the one point: the same J to the quadrature tolerance.
+        _assert_near_reference(compute_J_many([p], [analyze(p)]), [p],
+                               np.array([_reference_J(p)]))
 
     def test_degenerate_row_is_named(self, monkeypatch):
         # |lam(i*tau)| dips to 0.013 at gamma = 0.95 and stays >= 1 above
         # the resonance; a floor of 0.5 rejects only the first row.
-        monkeypatch.setattr(solution, "_LAM_FLOOR", 0.5)
         ps = [make_params(g, 1e-3, 1e-3) for g in (1.0, 0.95, 1.05)]
+        spectra = [analyze(p) for p in ps]
+        monkeypatch.setattr(solution, "_LAM_FLOOR", 0.5)
         with pytest.raises(SpectralDegeneracyError, match="gamma = 0.9499"):
-            compute_J_many(ps)
-        compute_J_many([ps[0], ps[2]])
+            compute_J_many(ps, spectra)
+        compute_J_many([ps[0], ps[2]], [spectra[0], spectra[2]])
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DomainError):
-            compute_J_many([])
+            compute_J_many([], [])
+
+    def test_unmatched_spectra_rejected(self):
+        p = make_params(0.5, 1e-3, 1e-3)
+        for spectra in ([], [analyze(p)] * 2):
+            with pytest.raises(DomainError):
+                compute_J_many([p], spectra)
 
 
 def _loop_minima(xs, mods, below=math.inf):
@@ -141,21 +239,7 @@ def test_spike_breakpoints_match_loop_scan():
         scale = max(1.0, zero_scale_estimate(p))
         taus = np.geomspace(1e-3 * scale, 1e3 * scale, 600)
         ref = _loop_minima(taus, np.abs(lam_imag_axis(taus, p)), below=0.5)
-        assert list(_spike_breakpoints([p], [scale])) == ref
-
-
-@pytest.mark.parametrize("grid", [np.linspace(0.9, 1.1, 401),
-                                  np.geomspace(0.01, 2.0, 401)])
-def test_block_spike_scan_matches_rows(grid):
-    # One scan for a sweep block gives each row's minima, bit for bit.
-    ps = [make_params(float(g), 1e-3, 1e-3) for g in grid]
-    scales = [max(1.0, zero_scale_estimate(p)) for p in ps]
-    for i in range(0, len(ps), _SWEEP_BLOCK):
-        rows = [_spike_breakpoints([p], [s])
-                for p, s in zip(ps[i:i + _SWEEP_BLOCK], scales[i:i + _SWEEP_BLOCK])]
-        block = _spike_breakpoints(ps[i:i + _SWEEP_BLOCK],
-                                   scales[i:i + _SWEEP_BLOCK])
-        assert np.array_equal(block, np.concatenate(rows))
+        assert list(_spike_breakpoints(p, scale)) == ref
 
 
 class TestCoefficients:
