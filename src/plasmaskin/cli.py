@@ -39,9 +39,9 @@ _COLUMNS = CSV_HEADER.split(",")
 DEFAULT_PANEL_GAMMAS = (0.1, 0.5, 0.9, 1.0, 1.3)
 _SPECULARITY_MUS = np.array([0.3, 1.0, 2.2]) * [[1.0], [-1.0]]  # rows: +mu, -mu
 # Sweep rows per shared J quadrature and line of continued zeros: on the
-# resonance sweep J costs 0.67 ms a row alone, 0.074 ms in blocks of 9 and
-# 0.049 ms in blocks of 16; find_zeros on the first row costs 0.16 ms,
-# continuation 0.02 ms a row.
+# resonance sweep J costs 0.88 ms a row by compute_J, 0.18 ms in blocks of
+# 1, 0.033 ms in blocks of 9 and 0.025 ms in blocks of 16; find_zeros on
+# the first row costs 0.16 ms, continuation 0.02 ms a row.
 _SWEEP_BLOCK = 16
 
 

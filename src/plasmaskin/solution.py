@@ -152,9 +152,17 @@ def _pole_pairs(spectra):
     return eta, r, -math.pi * r * eta / np.where(eta.real > 0.0, eta, -eta)
 
 
-# Seeds of a block's panels: tau/scale at u = k/8, k = 1..7, of the map
-# tau = scale*u/(1 - u).
-_BLOCK_SEEDS = np.arange(1.0, 8.0) / np.arange(7.0, 0.0, -1.0)
+def _block_seeds(scale: float) -> np.ndarray:
+    """tau seeds of a block's panels, on both scales of 1/lam(i*tau).
+
+    The map seeds scale*k/(8 - k), k = 1..7 (u = k/8 of the map
+    tau = scale*u/(1 - u)), cover the zeros' scale; lam0(i*tau) changes
+    on the thermal scale tau ~ 1, which the map squeezes below u ~ 1/scale,
+    so 2*4**k, k >= 0, seeds it up to the first map seed, scale/7.
+    """
+    k = np.arange(1.0, 8.0)
+    thermal = 2.0 * 4.0 ** np.arange(int(math.log(scale, 4.0)) + 1)
+    return np.concatenate([thermal[thermal < scale / 7.0], scale * k / (8.0 - k)])
 
 
 def compute_J_many(ps, spectra, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
@@ -168,9 +176,11 @@ def compute_J_many(ps, spectra, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarr
     form, int_0^oo S_k(i*tau) dtau = -pi*r_k*eta_k/c_k with c_k = +-eta_k,
     Re c_k > 0, as the quadrature offset: each J converges to
     ``spec.rel_tol`` of itself.  The identity holds for any eta and r, so
-    an inexact zero costs panels, not accuracy.  The panels are seeded on
-    a fixed grid of the map of the half line, on the median_low of the
-    points' scales.  Each J agrees with :func:`compute_J` to the
+    an inexact zero costs panels, not accuracy.  The map of the half line
+    runs on the median_low of the points' scales, and the panels are
+    seeded on both scales of the remainder (:func:`_block_seeds`): at
+    scale*k/(8 - k), k = 1..7, and at the thermal tau = 2*4**k below
+    scale/7.  Each J agrees with :func:`compute_J` to the
     quadrature tolerance, not bit for bit.  A degenerate point raises
     :class:`SpectralDegeneracyError` naming its gamma.
     """
@@ -192,7 +202,7 @@ def compute_J_many(ps, spectra, spec: QuadratureSpec = DEFAULT_QUAD) -> np.ndarr
 
     scale = statistics.median_low([max(1.0, zero_scale_estimate(p)) for p in ps])
     val = integrate_semi_infinite(remainder, spec, scale=scale,
-                                  breakpoints=scale * _BLOCK_SEEDS, offset=poles)
+                                  breakpoints=_block_seeds(scale), offset=poles)
     return (val + poles) / math.pi
 
 

@@ -82,11 +82,11 @@ class TestComputeJ:
         assert abs(J_tiny) > 1e3 * abs(J_base)
 
 
-def _reference_J(p):
-    """J at rel_tol 1e-14, or its best estimate where rounding stops the
+def _reference_J(p, rel_tol=1e-14):
+    """J at rel_tol, or its best estimate where rounding stops the
     quadrature short of that, with a bound within 1e-12 of J."""
     try:
-        return compute_J(p, QuadratureSpec(rel_tol=1e-14))
+        return compute_J(p, QuadratureSpec(rel_tol=rel_tol))
     except QuadratureError as exc:
         assert exc.error_bound <= 1e-12 * abs(exc.estimate)
         return exc.estimate / math.pi
@@ -115,6 +115,38 @@ _J_BLOCKS = {
     "n_changes": [(float(g), 1e-2, 0.1)
                   for g in np.geomspace(1e-2, 2.0, 401)[16:32]],
 }
+
+
+def _wide_blocks(n=40, seed=30):
+    """sweep_wide-like blocks: a Latin hypercube over log epsilon in
+    [1e-4, 1e-1] and log v_c in [1e-3, 0.5], each with six log-spaced
+    gammas over 0.15-0.3 decades of [0.01, 2]."""
+    rng = np.random.default_rng(seed)
+    ue, uv = ((rng.permutation(n) + rng.random(n)) / n for _ in range(2))
+    for a, b in zip(ue, uv):
+        eps, v_c = 10.0 ** (-4.0 + 3.0 * a), 0.001 * 500.0 ** b
+        width = rng.uniform(0.15, 0.3)
+        lg0 = rng.uniform(-2.0, math.log10(2.0) - width)
+        yield [(float(g), eps, v_c)
+               for g in np.geomspace(10.0 ** lg0, 10.0 ** (lg0 + width), 6)]
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Integrand calls of each integrate_finite call, in call order."""
+    calls = []
+    quad = numerics.integrate_finite
+
+    def counted(f, *args, **kwargs):
+        calls.append(0)
+
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_finite", counted)
+    return calls
 
 
 class TestComputeJMany:
@@ -165,27 +197,43 @@ class TestComputeJMany:
             lambda_prime_at_zeros=tuple(-d for d in info.lambda_prime_at_zeros))
         assert np.array_equal(solution._pole_pairs([mirror])[2], closed)
 
-    def test_resonance_sweep_work_is_bounded(self, monkeypatch):
-        # Integrand calls per block on the 401-row resonance grid: median
-        # 5, max 7.  The scan-seeded quadrature without the subtraction
-        # made a median of 8.5 and up to 12.
+    def test_resonance_sweep_work_is_bounded(self, integrand_calls):
+        # Integrand calls per block on the 401-row resonance grid: 2 in
+        # every block (the first seeded panel, then the others), with no
+        # refinement round.  Without the thermal seeds each round bisected
+        # the first panel toward tau = 0.
         ps = [make_params(float(g), 1e-3, 1e-3) for g in np.linspace(0.9, 1.1, 401)]
         spectra = _sweep_spectra(ps)
-        calls = []
-        quad = numerics.integrate_finite
-
-        def counted(f, *args, **kwargs):
-            calls.append(0)
-
-            def g(x):
-                calls[-1] += 1
-                return f(x)
-            return quad(g, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "integrate_finite", counted)
+        integrand_calls.clear()
         self._by_blocks(ps, spectra)
-        assert len(calls) == len(range(0, 401, _SWEEP_BLOCK))
-        assert np.median(calls) <= 6 and max(calls) <= 8
+        assert len(integrand_calls) == len(range(0, 401, _SWEEP_BLOCK))
+        assert np.median(integrand_calls) <= 2 and max(integrand_calls) <= 3
+
+    def test_wide_domain_blocks(self, integrand_calls):
+        # The seeds must cover the thermal scale wherever the map's scale
+        # puts it: a panel that spans it unseeded can fool the error
+        # estimate.
+        for points in _wide_blocks():
+            ps = [make_params(*pt) for pt in points]
+            spectra = analyze_line(ps)
+            integrand_calls.clear()
+            J = compute_J_many(ps, spectra)
+            assert len(integrand_calls) == 1 and integrand_calls[0] <= 4
+            _assert_near_reference(
+                J, ps, np.array([_reference_J(p, 1e-13) for p in ps]))
+
+    @pytest.mark.parametrize("scale, n_thermal", [(1.0, 0), (7.0, 0), (2064.0, 4),
+                                                  (31623.0, 6), (1e7, 10)])
+    def test_block_seeds_cover_both_scales(self, scale, n_thermal):
+        seeds = solution._block_seeds(scale)
+        assert np.all(np.diff(seeds) > 0.0)
+        k = np.arange(1.0, 8.0)
+        assert np.array_equal(seeds[-7:], scale * k / (8.0 - k))
+        thermal = seeds[:-7]
+        assert np.array_equal(thermal, 2.0 * 4.0 ** np.arange(thermal.size))
+        # No gap: the next thermal seed would reach the first map seed.
+        assert 2.0 * 4.0 ** thermal.size >= scale / 7.0
+        assert thermal.size == n_thermal
 
     @pytest.mark.parametrize("point", [(1e-3, 1e-3, 1e-3), (0.5, 1e-3, 1e-3),
                                        (0.95, 1e-4, 0.3), (1.3, 1e-2, 0.3)])
